@@ -7,7 +7,8 @@ text or, with ``--json``, as the stable structured form with ``"schema": 1``.
 
 Exit codes: 0 = yes / valid / pass / found, 1 = no (with certificate or
 obstruction) / invalid / none found, 2 = input error, 3 = internal
-inconsistency (always a bug, never a property of the input).
+inconsistency or any other unexpected error (always a bug, never a property
+of the input).
 """
 
 from __future__ import annotations
@@ -312,8 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Environment: BRANCHPAIRS_SEARCH_BUDGET caps backtracking nodes "
-            "(default 1000000); BRANCHPAIRS_NEXH caps exhaustive cross-checks "
-            "(default 10).  The --search-budget flag overrides the former."
+            "(default 1000000).  The --search-budget flag overrides it."
         ),
     )
     parser.add_argument(
@@ -425,6 +425,9 @@ def main(argv=None) -> int:
     except (BranchpairsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
+    except Exception as exc:  # anything else is a bug, and status 1 means "no"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_BUG
 
 
 if __name__ == "__main__":

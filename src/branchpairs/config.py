@@ -1,10 +1,5 @@
 """Tunable limits, overridable through environment variables.
 
-``BRANCHPAIRS_NEXH``
-    Size cap up to which exhaustive cross-checking machinery (brute-force
-    partition enumeration in the test suite, documentation of the detector's
-    guaranteed-complete regime) applies.  Default 10.
-
 ``BRANCHPAIRS_SEARCH_BUDGET``
     Node budget for backtracking searches (path-pair enumeration, the
     verifier-guided construction fallback).  Default 1_000_000.
@@ -14,7 +9,6 @@ from __future__ import annotations
 
 import os
 
-_DEFAULT_N_EXHAUSTIVE = 10
 _DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
@@ -27,10 +21,6 @@ def _env_int(name: str, default: int) -> int:
     except ValueError:
         return default
     return value if value > 0 else default
-
-
-def n_exhaustive() -> int:
-    return _env_int("BRANCHPAIRS_NEXH", _DEFAULT_N_EXHAUSTIVE)
 
 
 def search_budget() -> int:

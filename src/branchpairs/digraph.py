@@ -43,7 +43,7 @@ class Digraph:
     """Immutable simple digraph on vertices 0..n-1 (no loops, no parallel arcs;
     the two arcs of a digon are distinct)."""
 
-    __slots__ = ("n", "_out", "_in", "_m", "_hash")
+    __slots__ = ("n", "_out", "_in", "_m", "_hash", "_profile")
 
     def __init__(self, n: int, out_masks: list[int]):
         if n < 0:
@@ -69,6 +69,7 @@ class Digraph:
         self._in = tuple(in_masks)
         self._m = m
         self._hash = hash((n, self._out))
+        self._profile = None  # filled by _strong_profile on first use
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Digraph":
@@ -263,54 +264,6 @@ def is_tournament(digraph: Digraph) -> bool:
     )
 
 
-def _tarjan_components(n: int, out_masks) -> list[list[int]]:
-    """Iterative Tarjan; components are returned sinks-first (reverse
-    topological order of the condensation)."""
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 1
-    for s in range(n):
-        if index[s]:
-            continue
-        index[s] = low[s] = counter
-        counter += 1
-        stack.append(s)
-        on_stack[s] = True
-        frames = [[s, out_masks[s]]]
-        while frames:
-            frame = frames[-1]
-            v, rem = frame[0], frame[1]
-            if rem:
-                b = rem & -rem
-                frame[1] = rem ^ b
-                w = b.bit_length() - 1
-                if not index[w]:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    frames.append([w, out_masks[w]])
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                frames.pop()
-                if frames and low[v] < low[frames[-1][0]]:
-                    low[frames[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
-
-
 def _masked_components(n: int, out_masks, vmask: int) -> list[int]:
     """Strong components of the sub-digraph induced by `vmask`, as vertex
     masks in topological (initial-first) order."""
@@ -361,10 +314,10 @@ def _masked_components(n: int, out_masks, vmask: int) -> list[int]:
 
 
 def strong_decomposition(digraph: Digraph) -> StrongDecomposition:
-    comps = _tarjan_components(digraph.n, digraph._out)
-    comps.reverse()  # topological: initial component first
-    components = tuple(tuple(sorted(c)) for c in comps)
-    component_of = [0] * digraph.n
+    n = digraph.n
+    comps = _masked_components(n, digraph._out, (1 << n) - 1)
+    components = tuple(tuple(_bits(c)) for c in comps)
+    component_of = [0] * n
     for i, comp in enumerate(components):
         for v in comp:
             component_of[v] = i
@@ -563,6 +516,28 @@ def cut_arcs(digraph: Digraph) -> list[tuple[int, int]]:
                 result.append((x, y))
             masks[x] |= b
     return result
+
+
+def _strong_profile(digraph: Digraph):
+    """Facts shared by every root choice on `digraph`, computed on first use
+    and kept on the instance: the decomposition, a 2-arc-strong flag, and -
+    for strong digraphs that are not 2-arc-strong - each cut arc with the
+    decomposition its removal leaves behind."""
+    profile = digraph._profile
+    if profile is None:
+        dec = strong_decomposition(digraph)
+        if not dec.is_strong:
+            profile = (dec, False, ())
+        elif digraph.n >= 2 and is_k_arc_strong(digraph, 2):
+            profile = (dec, True, ())
+        else:
+            entries = tuple(
+                (arc, strong_decomposition(digraph.without_arc(*arc)))
+                for arc in cut_arcs(digraph)
+            )
+            profile = (dec, False, entries)
+        digraph._profile = profile
+    return profile
 
 
 def small_isomorphism(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .branchings import GoodPair, Tree, bfs_tree, out_branching_vs_path
 from .config import search_budget
@@ -29,8 +28,7 @@ from .digraph import (
     _bits,
     _masked_components,
     _reach,
-    cut_arcs,
-    is_k_arc_strong,
+    _strong_profile,
     small_isomorphism,
     strong_decomposition,
     validate_semicomplete,
@@ -120,23 +118,6 @@ def _check_instance(digraph: Digraph, *roots: int) -> None:
 # Decision
 
 
-@lru_cache(maxsize=512)
-def _strong_profile(digraph: Digraph):
-    """Per-digraph facts shared by every root choice: the decomposition, a
-    2-arc-strong flag, and - for strong digraphs that are not 2-arc-strong -
-    each cut arc with the decomposition its removal leaves behind."""
-    dec = strong_decomposition(digraph)
-    if not dec.is_strong:
-        return dec, False, ()
-    if digraph.n >= 2 and is_k_arc_strong(digraph, 2):
-        return dec, True, ()
-    entries = tuple(
-        (arc, strong_decomposition(digraph.without_arc(*arc)))
-        for arc in cut_arcs(digraph)
-    )
-    return dec, False, entries
-
-
 def decide_good_pair(digraph: Digraph, u: int, v: int) -> NoPairCertificate | None:
     """None when an arc-disjoint out-branching rooted at u and in-branching
     rooted at v exist, otherwise a certificate of impossibility.
@@ -147,34 +128,41 @@ def decide_good_pair(digraph: Digraph, u: int, v: int) -> NoPairCertificate | No
     has a pair: the last two shapes need an arc whose removal matters, and no
     catalog member is 2-arc-strong.
     """
+    return _decide(digraph, u, v)[0]
+
+
+def _decide(digraph: Digraph, u: int, v: int):
+    """The decision together with the digraph's strong profile (None when
+    the answer needed none), so that construction can reuse it."""
     _check_instance(digraph, u, v)
     n = digraph.n
     if n == 1:
-        return None
+        return None, None
     if u != v and 2 <= n <= 4:
         for catalog_id, member, member_u, member_v in exception_catalog():
             if member.n != n:
                 continue
             image = small_isomorphism(member, digraph, role_map={member_u: u, member_v: v})
             if image is not None:
-                return SmallException(catalog_id, tuple(image))
-    dec, two_arc_strong, cut_entries = _strong_profile(digraph)
+                return SmallException(catalog_id, tuple(image)), None
+    profile = _strong_profile(digraph)
+    dec, two_arc_strong, cut_entries = profile
     if not dec.is_strong:
         if u not in dec.initial:
-            return RootMisplaced(dec, "u-not-initial")
+            return RootMisplaced(dec, "u-not-initial"), profile
         if v not in dec.terminal:
-            return RootMisplaced(dec, "v-not-terminal")
-        return None
+            return RootMisplaced(dec, "v-not-terminal"), profile
+        return None, profile
     if two_arc_strong:
-        return None
+        return None, profile
     for arc, reduced_dec in cut_entries:
         if u not in reduced_dec.initial and v not in reduced_dec.terminal:
-            return CutArcObstruction(arc, reduced_dec)
+            return CutArcObstruction(arc, reduced_dec), profile
     if u != v and n >= 5:
         cert = detect_odd_chain(digraph, u, v)
         if cert is not None:
-            return ChainObstruction(cert)
-    return None
+            return ChainObstruction(cert), profile
+    return None, profile
 
 
 # --------------------------------------------------------------------------
@@ -830,17 +818,17 @@ def construct_good_pair(
     digraph: Digraph, u: int, v: int
 ) -> GoodPair | NoPairCertificate:
     """A verified good pair when one exists, else the decision certificate."""
-    certificate = decide_good_pair(digraph, u, v)
+    certificate, profile = _decide(digraph, u, v)
     if certificate is not None:
         return certificate
-    pair = _build_pair(digraph, u, v)
+    pair = _build_pair(digraph, u, v, profile)
     ok, reason = verify_good_pair(digraph, u, v, pair)
     if not ok:
         raise InternalInconsistency(f"constructed pair fails verification: {reason}")
     return pair
 
 
-def _build_pair(digraph: Digraph, u: int, v: int) -> GoodPair:
+def _build_pair(digraph: Digraph, u: int, v: int, profile) -> GoodPair:
     n = digraph.n
     if n == 1:
         return GoodPair(Tree("out", u), Tree("in", v))
@@ -849,7 +837,7 @@ def _build_pair(digraph: Digraph, u: int, v: int) -> GoodPair:
         if isinstance(outcome, SameRootStructure):
             raise InternalInconsistency("decision and shared-root structure disagree")
         return outcome
-    dec, two_arc_strong, cut_entries = _strong_profile(digraph)
+    dec, two_arc_strong, cut_entries = profile
     if not dec.is_strong:
         return _nonstrong_pair(digraph, u, v)
     if two_arc_strong or not cut_entries:

@@ -40,20 +40,25 @@ SCHEMA = 1
 def parse_digraph(text: str) -> Digraph:
     """Dispatch on the first token: ``digraph`` means the DOT subset,
     anything else the edge-list format."""
-    for raw in text.splitlines():
+    lines = text.splitlines()
+    for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.split()[0] == "digraph":
             return parse_dot(text)
-        return parse_edge_list(text)
+        return _parse_edge_lines(lines)
     raise ParseError("empty input")
 
 
 def parse_edge_list(text: str) -> Digraph:
+    return _parse_edge_lines(text.splitlines())
+
+
+def _parse_edge_lines(lines: list[str]) -> Digraph:
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -157,16 +162,10 @@ def serialize_dot(digraph: Digraph, name: str = "D") -> str:
 def _digraph_from_arc_list(n: int, arcs) -> Digraph:
     if n <= 0:
         raise ParseError("vertex count must be positive")
-    seen = set()
-    for tail, head in arcs:
-        if not (0 <= tail < n and 0 <= head < n):
-            raise ParseError(f"arc ({tail},{head}) out of range for n={n}")
-        if tail == head:
-            raise ParseError(f"self-loop at vertex {tail}")
-        if (tail, head) in seen:
-            raise ParseError(f"duplicate arc ({tail},{head})")
-        seen.add((tail, head))
-    return Digraph.from_arcs(n, arcs)
+    try:
+        return Digraph.from_arcs(n, arcs)
+    except ValueError as exc:  # range, self-loops and duplicates
+        raise ParseError(str(exc)) from exc
 
 
 # --------------------------------------------------------------------------

@@ -6,15 +6,15 @@ Whenever such a structure places the roles (u, w, v) correctly, no pair of
 arc-disjoint (u,z)- and (w,v)-paths exists for any z in the first part — so a
 verified certificate is a machine-checkable NO answer.  This module verifies
 certificates, detects them (scan for the two-part kind, bottom-up peeling for
-the layered kinds, exhaustive ordered-partition fallback at small orders), and
-implements the exact path-pair dichotomy on top of the detector.
+the layered kinds), and implements the exact path-pair dichotomy on top of the
+detector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import n_exhaustive, search_budget
+from .config import search_budget
 from .digraph import (
     ArcPath,
     Digraph,
@@ -260,8 +260,7 @@ def detect_obstruction_type(
     """Some Definition-style structure placing (u, w, v), or None.
 
     Soundness is unconditional (every candidate is verified before return);
-    completeness comes from the peeling argument, cross-checked by an
-    exhaustive ordered-partition fallback at small orders.
+    completeness comes from the peeling argument.
     """
     return _detect(digraph, u, w, v, required=None, odd_only=False)
 
@@ -298,13 +297,7 @@ def _detect(
         cert = _scan_type_a(digraph, u, w, v, required)
         if cert is not None:
             return cert
-    cert = _layer_search(digraph, u, w, v, required, odd_only, brute=False)
-    if cert is None and n <= n_exhaustive():
-        # Safety net: re-run with brute-force candidate enumeration.  The
-        # peeling candidates are provably complete, so this should never find
-        # anything new; if it does, the verified answer still stands.
-        cert = _layer_search(digraph, u, w, v, required, odd_only, brute=True)
-    return cert
+    return _layer_search(digraph, u, w, v, required, odd_only)
 
 
 def _scan_type_a(
@@ -353,7 +346,6 @@ def _layer_search(
     v: int,
     required: int | None,
     odd_only: bool,
-    brute: bool,
 ) -> TypeCertificate | None:
     """Bottom-up search for B/chain structures.
 
@@ -383,8 +375,6 @@ def _layer_search(
         return _masked_components(n, out, mask)[-1]
 
     def interior_candidates(hmask: int) -> list[tuple[int, int, int]]:
-        if brute:
-            return _brute_parts(hmask)
         found: list[tuple[int, int, int]] = []
         for tail in _bits(hmask):
             for head in _bits(out[tail] & hmask):
@@ -444,39 +434,7 @@ def _layer_search(
         found.sort()
         return found
 
-    def _brute_parts(hmask: int) -> list[tuple[int, int, int]]:
-        found = []
-        sub = (hmask - 1) & hmask
-        while sub:
-            spend()
-            entering = []
-            for head in _bits(sub):
-                for tail in _bits(ins[head] & hmask & ~sub):
-                    entering.append((tail, head))
-                    if len(entering) > 1:
-                        break
-                if len(entering) > 1:
-                    break
-            if len(entering) == 1:
-                tail, head = entering[0]
-                if _masked_components(n, out, sub)[0] >> head & 1:
-                    found.append((sub, tail, head))
-            sub = (sub - 1) & hmask
-        found.sort()
-        return found
-
     def split_candidates(hmask: int) -> list[tuple[int, int]]:
-        if brute:
-            found = []
-            sub = (hmask - 1) & hmask
-            while sub:
-                spend()
-                rest = hmask & ~sub
-                if all(out[q] & sub == 0 for q in _bits(rest)):
-                    found.append((sub, rest))
-                sub = (sub - 1) & hmask
-            found.sort()
-            return found
         comps = _masked_components(n, out, hmask)
         found = []
         prefix = 0

@@ -228,3 +228,14 @@ def test_exhausted_search_exits_three(capsys, tmp_path, monkeypatch):
     )
     assert code == 3
     assert err.strip() != ""
+
+
+def test_unexpected_errors_exit_three_not_one(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("branchpairs.cli.decide_good_pair", broken)
+    code, out, err = run(capsys, "decide", "--fixture", "S4", "-u", "0", "-v", "3")
+    assert code == 3
+    assert out == ""
+    assert "RuntimeError: boom" in err

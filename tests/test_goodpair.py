@@ -1,14 +1,19 @@
 """Decision, construction, and verification of good (u,v)-pairs, plus the
 tree-extension move table they are built on."""
 
+import random
+import sys
+
 import pytest
 
+import branchpairs.digraph
 from branchpairs import (
     BadEndpoints,
     ChainObstruction,
     CutArcObstruction,
     Digraph,
     ExtensionObstruction,
+    GeneratorConfig,
     GoodPair,
     InternalInconsistency,
     NotSemicomplete,
@@ -23,8 +28,10 @@ from branchpairs import (
     exception_catalog,
     extend_trees_across_cut,
     fixture,
+    is_k_arc_strong,
     oracle_good_pair,
     oracle_good_pair_targets,
+    random_semicomplete,
     same_root_pair,
     verify_certificate,
     verify_good_pair,
@@ -225,6 +232,94 @@ def test_decide_matches_oracle_exhaustively_to_order_four():
                     else:
                         ok, reason = verify_certificate(d, u, v, cert)
                         assert ok, reason
+
+
+def _strong_not_two_arc_strong(n, count):
+    """The first `count` seeded strong digraphs of order n that have a cut
+    arc, so that decisions reach the cut-arc and odd-chain stages."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        config = GeneratorConfig(n=n, digon_prob=(0.0, 0.15, 0.3)[seed % 3],
+                                 seed=seed, constraint="strong")
+        seed += 1
+        d = random_semicomplete(config)
+        if not is_k_arc_strong(d, 2):
+            found.append(d)
+    return found
+
+
+def _planted_chain(sizes, rng):
+    """Strong parts (a vertex, a digon or a 3-cycle, some pairs doubled),
+    every cross pair pointing forward, plus one back arc from each part to
+    the part two before it, vertices shuffled.  With v in the second part and
+    u in the next-to-last one this is an odd-chain no when len(sizes) is odd."""
+    label = list(range(sum(sizes)))
+    rng.shuffle(label)
+    parts, start = [], 0
+    for size in sizes:
+        parts.append([label[i] for i in range(start, start + size)])
+        start += size
+    arcs = set()
+    for part in parts:
+        if len(part) > 1:
+            arcs.update(zip(part, part[1:] + part[:1]))
+            arcs.update((q, p) for p, q in zip(part, part[1:]) if rng.random() < 0.3)
+    for i, part in enumerate(parts):
+        arcs.update((p, q) for later in parts[i + 1:] for p in part for q in later)
+    for i in range(len(parts) - 2):
+        arcs.add((rng.choice(parts[i + 2]), rng.choice(parts[i])))
+    u, v = rng.choice(parts[-2]), rng.choice(parts[1])
+    return Digraph.from_arcs(sum(sizes), sorted(arcs)), u, v
+
+
+def test_decide_matches_oracle_on_cut_arc_instances():
+    # Strong digraphs with cut arcs are where the cut-arc scan and the
+    # layered odd-chain detector decide the answer; the brute-force oracle
+    # checks every root pair.
+    rng = random.Random(5)
+    shapes = [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (1, 1, 2, 1, 1), (1, 1, 1, 1, 3),
+              (3, 1, 1, 1, 1), (1, 2, 1, 2, 1), (1, 1, 3, 1, 2), (1,) * 7,
+              (1, 1, 1, 2, 1, 1, 1)]
+    instances = [(d, None) for n, count in ((6, 40), (7, 40), (8, 25))
+                 for d in _strong_not_two_arc_strong(n, count)]
+    instances += [(d, (u, v)) for sizes in shapes for _ in range(2)
+                  for d, u, v in [_planted_chain(sizes, rng)]]
+    for d, planted in instances:
+        for u in range(d.n):
+            targets = set(oracle_good_pair_targets(d, u))
+            for v in range(d.n):
+                assert (decide_good_pair(d, u, v) is None) == (v in targets), (d, u, v)
+        if planted is not None:
+            u, v = planted
+            assert v not in oracle_good_pair_targets(d, u), d
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of the package function `name` wherever it is bound."""
+    original = getattr(branchpairs.digraph, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("branchpairs") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_strong_profile_lives_on_the_digraph(monkeypatch):
+    calls = _count_calls(monkeypatch, "is_k_arc_strong")
+    d = Digraph(S4.n, S4.out_masks())
+    assert decide_good_pair(d, 0, 3) is None
+    assert_good_pair(d, 0, 3, construct_good_pair(d, 0, 3))
+    assert decide_good_pair(d, 1, 2) is None
+    assert len(calls) == 1
+    # nothing is kept across instances, so an equal digraph starts afresh
+    assert decide_good_pair(Digraph(S4.n, S4.out_masks()), 0, 3) is None
+    assert len(calls) == 2
 
 
 def test_same_root_pair_matches_oracle_exhaustively():

@@ -92,6 +92,7 @@ def test_dot_accepts_bare_statements():
         "digraph { 0 -> 1; } trailing",  # text after the block
         "digraph { subgraph { 0 -> 1; } }",  # nested blocks
         "digraph { 0 -> 0; }",  # self-loop
+        "digraph { 0 -> 1; 1 -> 0; 0 -> 1; }",  # duplicate arc
     ],
 )
 def test_dot_rejects_unsupported_features(text):
