@@ -69,7 +69,7 @@ class Digraph:
         self._in = tuple(in_masks)
         self._m = m
         self._hash = hash((n, self._out))
-        self._profile = None  # filled by _strong_profile on first use
+        self._profile = None  # filled by goodpair._strong_profile on first use
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Digraph":
@@ -503,41 +503,21 @@ def cut_arcs(digraph: Digraph) -> list[tuple[int, int]]:
     decomposition = strong_decomposition(digraph)
     if not decomposition.is_strong:
         raise NotStrong("input digraph is not strong")
+    return _breaking_arcs(digraph, digraph.arcs())
+
+
+def _breaking_arcs(digraph: Digraph, arcs) -> list[tuple[int, int]]:
+    """The arcs among `arcs` (in their order) whose removal leaves the head
+    unreachable from the tail."""
     result = []
     masks = list(digraph._out)
-    for x in range(digraph.n):
-        rem = masks[x]
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            y = b.bit_length() - 1
-            masks[x] &= ~b
-            if not (_reach(masks, 1 << x) >> y & 1):
-                result.append((x, y))
-            masks[x] |= b
+    for x, y in arcs:
+        b = 1 << y
+        masks[x] &= ~b
+        if not (_reach(masks, 1 << x) >> y & 1):
+            result.append((x, y))
+        masks[x] |= b
     return result
-
-
-def _strong_profile(digraph: Digraph):
-    """Facts shared by every root choice on `digraph`, computed on first use
-    and kept on the instance: the decomposition, a 2-arc-strong flag, and -
-    for strong digraphs that are not 2-arc-strong - each cut arc with the
-    decomposition its removal leaves behind."""
-    profile = digraph._profile
-    if profile is None:
-        dec = strong_decomposition(digraph)
-        if not dec.is_strong:
-            profile = (dec, False, ())
-        elif digraph.n >= 2 and is_k_arc_strong(digraph, 2):
-            profile = (dec, True, ())
-        else:
-            entries = tuple(
-                (arc, strong_decomposition(digraph.without_arc(*arc)))
-                for arc in cut_arcs(digraph)
-            )
-            profile = (dec, False, entries)
-        digraph._profile = profile
-    return profile
 
 
 def small_isomorphism(

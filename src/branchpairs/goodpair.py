@@ -17,7 +17,7 @@ re-check both kinds of answer independently of how they were produced.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .branchings import GoodPair, Tree, bfs_tree, out_branching_vs_path
 from .config import search_budget
@@ -26,9 +26,9 @@ from .digraph import (
     Digraph,
     StrongDecomposition,
     _bits,
+    _breaking_arcs,
     _masked_components,
     _reach,
-    _strong_profile,
     small_isomorphism,
     strong_decomposition,
     validate_semicomplete,
@@ -41,7 +41,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .fixtures import exception_catalog
-from .hamilton import hamiltonian_cycle, hamiltonian_path_from
+from .hamilton import _hamiltonian_cycle, hamiltonian_path_from
 from .structures import TypeCertificate, detect_odd_chain, verify_type_certificate
 
 
@@ -115,6 +115,52 @@ def _check_instance(digraph: Digraph, *roots: int) -> None:
 
 
 # --------------------------------------------------------------------------
+# Strong profile
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """Facts shared by every root choice on one digraph.
+
+    `cycle` is a hamiltonian cycle for a strong digraph of order two or more,
+    else None.  Removing an arc off that cycle keeps the cycle, so only cycle
+    arcs can be cut arcs: `cut_entries` holds each cycle arc whose removal
+    breaks strong connectivity, ascending, with the decomposition that removal
+    leaves.  `chains` keeps the odd-chain detection result per root pair, so
+    that construction after a decision does not detect again.
+    """
+
+    decomposition: StrongDecomposition
+    cycle: ArcPath | None
+    cut_entries: tuple[tuple[tuple[int, int], StrongDecomposition], ...]
+    chains: dict[tuple[int, int], TypeCertificate | None] = field(default_factory=dict)
+
+    @property
+    def two_arc_strong(self) -> bool:
+        """λ(D) ≥ 2: strong, of order two or more, and without a cut arc."""
+        return self.cycle is not None and not self.cut_entries
+
+
+def _strong_profile(digraph: Digraph) -> _Profile:
+    """The profile of a semicomplete `digraph`, computed on first use and kept
+    on the instance, so that it lives exactly as long as the digraph."""
+    profile = digraph._profile
+    if profile is None:
+        dec = strong_decomposition(digraph)
+        cycle, entries = None, ()
+        if dec.is_strong and digraph.n >= 2:
+            cycle = _hamiltonian_cycle(digraph)
+            vs = cycle.vertices
+            cycle_arcs = sorted(zip(vs, vs[1:] + vs[:1]))
+            entries = tuple(
+                (arc, strong_decomposition(digraph.without_arc(*arc)))
+                for arc in _breaking_arcs(digraph, cycle_arcs)
+            )
+        profile = digraph._profile = _Profile(dec, cycle, entries)
+    return profile
+
+
+# --------------------------------------------------------------------------
 # Decision
 
 
@@ -127,6 +173,13 @@ def decide_good_pair(digraph: Digraph, u: int, v: int) -> NoPairCertificate | No
     both roots, odd-length layered partition.  A 2-arc-strong digraph always
     has a pair: the last two shapes need an arc whose removal matters, and no
     catalog member is 2-arc-strong.
+
+    Everything that does not depend on the roots is computed once per
+    digraph and kept on it: the strong decomposition and, for a strong
+    digraph, one hamiltonian cycle whose arcs are the only candidates for
+    cut arcs (one reachability test each), with the decomposition each cut
+    arc leaves behind.  Odd-chain results are kept per root pair, so that
+    `construct_good_pair` on the same digraph does not detect again.
     """
     return _decide(digraph, u, v)[0]
 
@@ -146,20 +199,22 @@ def _decide(digraph: Digraph, u: int, v: int):
             if image is not None:
                 return SmallException(catalog_id, tuple(image)), None
     profile = _strong_profile(digraph)
-    dec, two_arc_strong, cut_entries = profile
+    dec = profile.decomposition
     if not dec.is_strong:
         if u not in dec.initial:
             return RootMisplaced(dec, "u-not-initial"), profile
         if v not in dec.terminal:
             return RootMisplaced(dec, "v-not-terminal"), profile
         return None, profile
-    if two_arc_strong:
+    if profile.two_arc_strong:
         return None, profile
-    for arc, reduced_dec in cut_entries:
+    for arc, reduced_dec in profile.cut_entries:
         if u not in reduced_dec.initial and v not in reduced_dec.terminal:
             return CutArcObstruction(arc, reduced_dec), profile
     if u != v and n >= 5:
-        cert = detect_odd_chain(digraph, u, v)
+        if (u, v) not in profile.chains:
+            profile.chains[u, v] = detect_odd_chain(digraph, u, v)
+        cert = profile.chains[u, v]
         if cert is not None:
             return ChainObstruction(cert), profile
     return None, profile
@@ -305,12 +360,13 @@ def same_root_pair(digraph: Digraph, u: int) -> GoodPair | SameRootStructure:
     _check_instance(digraph, u)
     if digraph.n == 1:
         return GoodPair(Tree("out", u), Tree("in", u))
-    if not strong_decomposition(digraph).is_strong:
+    profile = _strong_profile(digraph)
+    if not profile.decomposition.is_strong:
         raise NotStrong("a shared-root pair needs a strong digraph")
     structure = _same_root_structure(digraph, u)
     if structure is not None:
         return structure
-    return _cycle_pair(digraph, u, u)
+    return _cycle_pair(digraph, u, u, profile.cycle)
 
 
 def _same_root_structure(digraph: Digraph, u: int) -> SameRootStructure | None:
@@ -837,22 +893,22 @@ def _build_pair(digraph: Digraph, u: int, v: int, profile) -> GoodPair:
         if isinstance(outcome, SameRootStructure):
             raise InternalInconsistency("decision and shared-root structure disagree")
         return outcome
-    dec, two_arc_strong, cut_entries = profile
-    if not dec.is_strong:
-        return _nonstrong_pair(digraph, u, v)
-    if two_arc_strong or not cut_entries:
-        return _cycle_pair(digraph, u, v)
+    if not profile.decomposition.is_strong:
+        return _nonstrong_pair(digraph, u, v, profile.decomposition)
+    if not profile.cut_entries:
+        return _cycle_pair(digraph, u, v, profile.cycle)
     if n == 3:
         return _search_pair(digraph, u, v)
-    return _cut_arc_pair(digraph, u, v, cut_entries[0][0])
+    return _cut_arc_pair(digraph, u, v, profile.cut_entries[0][0])
 
 
-def _nonstrong_pair(digraph: Digraph, u: int, v: int) -> GoodPair:
+def _nonstrong_pair(
+    digraph: Digraph, u: int, v: int, dec: StrongDecomposition
+) -> GoodPair:
     """Split off the terminal component: ahead of it every vertex dominates
     every later vertex fully and nothing points back, which is exactly the
     no-designated-arc extension shape, so growing one tree per side and
     bridging always succeeds at order four and up."""
-    dec = strong_decomposition(digraph)
     y_side = dec.terminal
     x_side = tuple(q for comp in dec.components[:-1] for q in comp)
     t_out = bfs_tree(digraph, u, "out", within=x_side)
@@ -866,9 +922,8 @@ def _nonstrong_pair(digraph: Digraph, u: int, v: int) -> GoodPair:
     return _search_pair(digraph, u, v)
 
 
-def _cycle_pair(digraph: Digraph, u: int, v: int) -> GoodPair:
+def _cycle_pair(digraph: Digraph, u: int, v: int, cycle: ArcPath) -> GoodPair:
     """Spanning-cycle spine for strong digraphs without a usable cut arc."""
-    cycle = hamiltonian_cycle(digraph)
     attempt = _residual_attempt(digraph, u, v, _rotate_to(cycle, first=u), "out")
     if attempt is None:
         attempt = _residual_attempt(digraph, u, v, _rotate_to(cycle, last=v), "in")

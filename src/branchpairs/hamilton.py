@@ -43,12 +43,18 @@ def hamiltonian_cycle(digraph: Digraph) -> ArcPath:
     to the dominating class lets us splice in two vertices at once.
     """
     _check_semicomplete(digraph)
-    n = digraph.n
-    if n < 2:
+    if digraph.n < 2:
         raise ValueError("a hamiltonian cycle needs at least two vertices")
     if not strong_decomposition(digraph).is_strong:
         raise NotStrong("hamiltonian cycle requires a strong digraph")
+    return _hamiltonian_cycle(digraph)
 
+
+def _hamiltonian_cycle(digraph: Digraph) -> ArcPath:
+    """`hamiltonian_cycle` without its input checks, for callers that already
+    know the digraph to be strong, semicomplete and of order two or more.
+    The result is still verified."""
+    n = digraph.n
     cycle = _initial_cycle(digraph)
     outside = sorted(set(range(n)) - set(cycle))
     while outside:

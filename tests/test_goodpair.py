@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-import branchpairs.digraph
+import branchpairs.hamilton
+import branchpairs.structures
 from branchpairs import (
     BadEndpoints,
     ChainObstruction,
@@ -23,19 +24,23 @@ from branchpairs import (
     SmallException,
     Tree,
     construct_good_pair,
+    cut_arcs,
     decide_good_pair,
     enumerate_semicomplete,
     exception_catalog,
     extend_trees_across_cut,
     fixture,
+    hamiltonian_cycle,
     is_k_arc_strong,
     oracle_good_pair,
     oracle_good_pair_targets,
     random_semicomplete,
     same_root_pair,
+    strong_decomposition,
     verify_certificate,
     verify_good_pair,
 )
+from branchpairs.goodpair import _strong_profile
 from conftest import assert_good_pair
 
 C3 = fixture("C3").digraph
@@ -295,9 +300,10 @@ def test_decide_matches_oracle_on_cut_arc_instances():
             assert v not in oracle_good_pair_targets(d, u), d
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of the package function `name` wherever it is bound."""
-    original = getattr(branchpairs.digraph, name)
+def _count_calls(monkeypatch, home, name):
+    """Count calls of the function `name` of module `home` wherever the
+    package binds it."""
+    original = getattr(home, name)
     calls = []
 
     def counting(*args, **kwargs):
@@ -310,21 +316,76 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _trans_back(n):
+    """The transitive tournament 0 -> ... -> n-1 plus the back arc (n-1, 0)."""
+    return Digraph.from_arcs(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n)] + [(n - 1, 0)]
+    )
+
+
+def _two_blocks(n, rng):
+    """Two random tournaments on [0, h) and [h, n), every cross pair pointing
+    into the second, plus the back arc (n-1, 0); strong once both blocks are."""
+    h = n // 2
+    arcs = [(i, j) for i in range(h) for j in range(h, n)] + [(n - 1, 0)]
+    for block in (range(h), range(h, n)):
+        arcs += [(i, j) if rng.random() < 0.5 else (j, i)
+                 for i in block for j in block if i < j]
+    return Digraph.from_arcs(n, arcs)
+
+
 def test_strong_profile_lives_on_the_digraph(monkeypatch):
-    calls = _count_calls(monkeypatch, "is_k_arc_strong")
+    cycles = _count_calls(monkeypatch, branchpairs.hamilton, "_hamiltonian_cycle")
     d = Digraph(S4.n, S4.out_masks())
     assert decide_good_pair(d, 0, 3) is None
     assert_good_pair(d, 0, 3, construct_good_pair(d, 0, 3))
     assert decide_good_pair(d, 1, 2) is None
-    assert len(calls) == 1
+    assert_good_pair(d, 1, 1, same_root_pair(d, 1))
+    assert_good_pair(d, 2, 2, construct_good_pair(d, 2, 2))
+    # one cycle serves decide, construct and the shared-root pair
+    assert len(cycles) == 1
     # nothing is kept across instances, so an equal digraph starts afresh
     assert decide_good_pair(Digraph(S4.n, S4.out_masks()), 0, 3) is None
-    assert len(calls) == 2
+    assert len(cycles) == 2
+
+
+def test_construct_after_decide_does_not_detect_again(monkeypatch):
+    detections = _count_calls(monkeypatch, branchpairs.structures, "detect_odd_chain")
+    d = _trans_back(8)
+    assert decide_good_pair(d, 0, 7) is None
+    assert_good_pair(d, 0, 7, construct_good_pair(d, 0, 7))
+    assert len(detections) == 1
+    chain = Digraph(CHAIN5.n, CHAIN5.out_masks())
+    cert = decide_good_pair(chain, 2, 3)
+    assert isinstance(cert, ChainObstruction)
+    assert construct_good_pair(chain, 2, 3) == cert
+    assert len(detections) == 2
+
+
+def test_profile_matches_cut_arcs_and_flows():
+    # The profile finds cut arcs among the arcs of one hamiltonian cycle;
+    # the public functions test every arc and run max-flows.
+    rng = random.Random(9)
+    instances = [
+        random_semicomplete(GeneratorConfig(n=n, digon_prob=p, seed=seed, constraint="strong"))
+        for n in range(2, 31) for p in (0.0, 0.1, 0.3) for seed in range(3)
+        if n > 2 or p > 0  # a strong digraph of order two is a digon
+    ]
+    instances += [_trans_back(n) for n in range(2, 31)]
+    instances += [d for n in range(6, 31, 4) for d in [_two_blocks(n, rng)]
+                  if strong_decomposition(d).is_strong]
+    assert sum(not is_k_arc_strong(d, 2) for d in instances) > 60
+    for d in instances:
+        profile = _strong_profile(d)
+        assert profile.decomposition == strong_decomposition(d)
+        assert profile.cycle == hamiltonian_cycle(d)
+        assert [arc for arc, _ in profile.cut_entries] == cut_arcs(d)
+        assert profile.two_arc_strong == is_k_arc_strong(d, 2)
+        for (tail, head), reduced in profile.cut_entries:
+            assert reduced == strong_decomposition(d.without_arc(tail, head))
 
 
 def test_same_root_pair_matches_oracle_exhaustively():
-    from branchpairs import strong_decomposition
-
     for n in range(1, 5):
         for d in enumerate_semicomplete(n):
             strong = strong_decomposition(d).is_strong
