@@ -23,6 +23,25 @@ def _bits(mask: int):
         mask ^= b
 
 
+def _transpose(n: int, masks) -> list[int]:
+    """The transpose of an n×n bit matrix given as row masks below 2**n: bit
+    v of result[w] is bit w of masks[v].
+
+    Rows become n-digit binary strings (last row first, so that row v lands
+    on bit v of a column), `zip` reads the columns, and column j is the mask
+    of vertex n-1-j.  Those strings take n² bytes, so a matrix with fewer
+    than n²/8 set bits is transposed bit by bit instead.
+    """
+    if 8 * sum(map(int.bit_count, masks)) < n * n:
+        result = [0] * n
+        for v, mask in enumerate(masks):
+            for w in _bits(mask):
+                result[w] |= 1 << v
+        return result
+    rows = [format(mask, f"0{n}b") for mask in reversed(masks)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
 def _reach(out_masks: list[int], start_mask: int) -> int:
     """Bitmask of vertices reachable from `start_mask` (inclusive)."""
     reached = start_mask
@@ -41,7 +60,12 @@ def _reach(out_masks: list[int], start_mask: int) -> int:
 
 class Digraph:
     """Immutable simple digraph on vertices 0..n-1 (no loops, no parallel arcs;
-    the two arcs of a digon are distinct)."""
+    the two arcs of a digon are distinct).
+
+    `out_masks[v]` holds the heads of v's out-arcs as bits.  The in-masks are
+    its bit-matrix transpose, built once here; the derived digraphs of
+    `reverse`, `without_arc` and the like carry both lists over instead.
+    """
 
     __slots__ = ("n", "_out", "_in", "_m", "_hash", "_profile")
 
@@ -51,23 +75,26 @@ class Digraph:
         if len(out_masks) != n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << n) - 1
-        in_masks = [0] * n
-        m = 0
         for v, mask in enumerate(out_masks):
             if mask & ~full:
                 raise ValueError(f"arc head out of range at vertex {v}")
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            m += mask.bit_count()
-            rem = mask
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                in_masks[b.bit_length() - 1] |= 1 << v
+        self._fill(n, out_masks, _transpose(n, out_masks))
+
+    @classmethod
+    def _with_in_masks(cls, n: int, out_masks, in_masks) -> "Digraph":
+        """The digraph with these out-masks, whose transpose the caller already
+        holds in `in_masks`; nothing is checked."""
+        digraph = cls.__new__(cls)
+        digraph._fill(n, out_masks, in_masks)
+        return digraph
+
+    def _fill(self, n: int, out_masks, in_masks) -> None:
         self.n = n
         self._out = tuple(out_masks)
         self._in = tuple(in_masks)
-        self._m = m
+        self._m = sum(map(int.bit_count, self._out))
         self._hash = hash((n, self._out))
         self._profile = None  # filled by goodpair._strong_profile on first use
 
@@ -126,14 +153,21 @@ class Digraph:
     # -- derived digraphs --------------------------------------------------
 
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, list(self._in))
+        return Digraph._with_in_masks(self.n, self._in, self._out)
 
     def without_arc(self, tail: int, head: int) -> "Digraph":
         if not self.has_arc(tail, head):
             raise ValueError(f"arc ({tail},{head}) not present")
-        masks = list(self._out)
-        masks[tail] &= ~(1 << head)
-        return Digraph(self.n, masks)
+        return self._without_arcs([(tail, head)])
+
+    def _without_arcs(self, arcs) -> "Digraph":
+        """This digraph minus `arcs`; pairs that are not arcs are ignored."""
+        outs = list(self._out)
+        ins = list(self._in)
+        for tail, head in arcs:
+            outs[tail] &= ~(1 << head)
+            ins[head] &= ~(1 << tail)
+        return Digraph._with_in_masks(self.n, outs, ins)
 
     def with_arcs(self, arcs) -> "Digraph":
         masks = list(self._out)
@@ -314,8 +348,15 @@ def _masked_components(n: int, out_masks, vmask: int) -> list[int]:
 
 
 def strong_decomposition(digraph: Digraph) -> StrongDecomposition:
+    """The strong components in their acyclic order.  A strong digraph is
+    recognised by two reachability sweeps from vertex 0, forward and
+    backward, before Tarjan's algorithm runs."""
     n = digraph.n
-    comps = _masked_components(n, digraph._out, (1 << n) - 1)
+    full = (1 << n) - 1
+    if n and _reach(digraph._out, 1) == full and _reach(digraph._in, 1) == full:
+        comps = [full]
+    else:
+        comps = _masked_components(n, digraph._out, full)
     components = tuple(tuple(_bits(c)) for c in comps)
     component_of = [0] * n
     for i, comp in enumerate(components):
@@ -508,10 +549,14 @@ def cut_arcs(digraph: Digraph) -> list[tuple[int, int]]:
 
 def _breaking_arcs(digraph: Digraph, arcs) -> list[tuple[int, int]]:
     """The arcs among `arcs` (in their order) whose removal leaves the head
-    unreachable from the tail."""
+    unreachable from the tail.  An arc (x, y) with a 2-path x -> z -> y
+    (z != y, as there are no loops) needs no search."""
     result = []
     masks = list(digraph._out)
+    ins = digraph._in
     for x, y in arcs:
+        if masks[x] & ins[y]:
+            continue
         b = 1 << y
         masks[x] &= ~b
         if not (_reach(masks, 1 << x) >> y & 1):

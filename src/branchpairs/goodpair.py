@@ -899,7 +899,7 @@ def _build_pair(digraph: Digraph, u: int, v: int, profile) -> GoodPair:
         return _cycle_pair(digraph, u, v, profile.cycle)
     if n == 3:
         return _search_pair(digraph, u, v)
-    return _cut_arc_pair(digraph, u, v, profile.cut_entries[0][0])
+    return _cut_arc_pair(digraph, u, v, *profile.cut_entries[0])
 
 
 def _nonstrong_pair(
@@ -932,12 +932,15 @@ def _cycle_pair(digraph: Digraph, u: int, v: int, cycle: ArcPath) -> GoodPair:
     return attempt
 
 
-def _cut_arc_pair(digraph: Digraph, u: int, v: int, arc: tuple[int, int]) -> GoodPair:
+def _cut_arc_pair(
+    digraph: Digraph, u: int, v: int, arc: tuple[int, int], reduced: StrongDecomposition
+) -> GoodPair:
     """Split the digraph along a cut arc (x, y) and grow one tree per side.
 
-    With the components of the reduced digraph ordered initial-first, u must
-    sit in the first one or v in the last one (the decision already said
-    yes).  When v sits last, both sides get breadth-first trees and the
+    `reduced` is the strong decomposition of the digraph minus the arc (the
+    profile holds it).  With its components ordered initial-first, u must sit
+    in the first one or v in the last one (the decision already said yes).
+    When v sits last, both sides get breadth-first trees and the
     boundary is bridged in back-arc mode.  When v sits strictly earlier, the
     u side gets an out-branching arc-disjoint from a (y, v)-path, the v side
     contributes a spanning path feeding the cut arc, and the boundary is
@@ -945,12 +948,15 @@ def _cut_arc_pair(digraph: Digraph, u: int, v: int, arc: tuple[int, int]) -> Goo
     by reversing every arc and swapping the roles.
     """
     tail, head = arc
-    reduced = strong_decomposition(digraph.without_arc(tail, head))
     last = len(reduced.components) - 1
     if reduced.component_of[head] != 0 or reduced.component_of[tail] != last:
         raise InternalInconsistency("cut arc does not span the reduced ordering")
     if reduced.component_of[u] != 0:
-        mirrored = _cut_arc_pair(digraph.reverse(), v, u, (head, tail))
+        # Reversing every arc reverses the acyclic order of the components.
+        mirrored_reduced = StrongDecomposition(
+            reduced.components[::-1], tuple(last - i for i in reduced.component_of)
+        )
+        mirrored = _cut_arc_pair(digraph.reverse(), v, u, (head, tail), mirrored_reduced)
         return GoodPair(
             mirrored.in_branching.reversed_kind(),
             mirrored.out_branching.reversed_kind(),
@@ -1005,13 +1011,6 @@ def _path_tree(path: ArcPath, kind: str) -> Tree:
     return Tree("in", path.end, {t: h for t, h in path.arcs()})
 
 
-def _without_arcs(digraph: Digraph, arcs) -> Digraph:
-    masks = list(digraph.out_masks())
-    for tail, head in arcs:
-        masks[tail] &= ~(1 << head)
-    return Digraph(digraph.n, masks)
-
-
 def _rotate_to(cycle: ArcPath, first: int | None = None, last: int | None = None) -> ArcPath:
     verts = list(cycle.vertices)
     if first is not None:
@@ -1027,7 +1026,7 @@ def _residual_attempt(digraph, u, v, path, kind) -> GoodPair | None:
     """Spanning path as one branching, breadth-first tree on the leftover
     arcs as the other; None when the leftovers cannot span."""
     spine = _path_tree(path, kind)
-    residual = _without_arcs(digraph, path.arcs())
+    residual = digraph._without_arcs(path.arcs())
     if kind == "out":
         partner = bfs_tree(residual, v, "in")
         pair = GoodPair(spine, partner)
@@ -1069,7 +1068,7 @@ def _search_pair(digraph: Digraph, u: int, v: int) -> GoodPair:
             raise InternalInconsistency("pair search exhausted its budget")
         if i == len(order):
             t_out = Tree("out", u, dict(parent))
-            residual = _without_arcs(digraph, ((p, c) for c, p in parent.items()))
+            residual = digraph._without_arcs((p, c) for c, p in parent.items())
             t_in = bfs_tree(residual, v, "in")
             if len(t_in.covered()) != n:
                 return None

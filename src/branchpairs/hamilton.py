@@ -98,11 +98,10 @@ def _hamiltonian_cycle(digraph: Digraph) -> ArcPath:
 def _initial_cycle(digraph: Digraph) -> list[int]:
     """A 2-cycle (first digon in ascending pair order) or a triangle through
     vertex 0 (which exists in a strong digon-free semicomplete digraph)."""
-    n = digraph.n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if digraph.has_arc(a, b) and digraph.has_arc(b, a):
-                return [a, b]
+    for a in range(digraph.n):
+        later = (digraph.out_mask(a) & digraph.in_mask(a)) >> (a + 1)
+        if later:
+            return [a, a + (later & -later).bit_length()]
     for x in _bits(digraph.out_mask(0)):
         for y in _bits(digraph.in_mask(0)):
             if digraph.has_arc(x, y):

@@ -39,7 +39,15 @@ SCHEMA = 1
 
 def parse_digraph(text: str) -> Digraph:
     """Dispatch on the first token: ``digraph`` means the DOT subset,
-    anything else the edge-list format."""
+    anything else the edge-list format.
+
+    Text in exactly the form `serialize_edge_list` writes is read as a whole
+    (`_read_canonical`); any other text, and any text with a fault, goes
+    through the line reader, which words every `ParseError`.
+    """
+    digraph = _read_canonical(text)
+    if digraph is not None:
+        return digraph
     lines = text.splitlines()
     for raw in lines:
         line = raw.strip()
@@ -52,7 +60,63 @@ def parse_digraph(text: str) -> Digraph:
 
 
 def parse_edge_list(text: str) -> Digraph:
+    digraph = _read_canonical(text)
+    if digraph is not None:
+        return digraph
     return _parse_edge_lines(text.splitlines())
+
+
+_DIGITS = b"0123456789"
+
+
+def _read_canonical(text: str) -> Digraph | None:
+    """The digraph of an edge list in exactly the form `serialize_edge_list`
+    writes, or None for any other text or any fault.
+
+    The form is a header ``n m`` and m lines ``tail head``, each ending in a
+    newline, with single spaces and ids without sign or leading zero.  After
+    the header the text is checked as a whole: deleting its digits must leave
+    m copies of ``" \n"``, and one `split` must give 2m tokens.  A
+    semicomplete digraph has m >= n(n-1)/2 >= n-1 arcs, so a header with
+    n > m + 1 goes to the line reader, and nothing built here outgrows the
+    text.  Tokens map to ids and bits through two dicts over the canonical
+    spellings of 0..n-1 (a leading zero or an id out of range is a missing
+    key), and one loop over the arcs fills the out-masks; a duplicate arc
+    shows as fewer than m bits, a self-loop as a bit on the diagonal.
+    """
+    head, newline, body = text.partition("\n")
+    n_token, _, m_token = head.partition(" ")
+    n, m = _canonical_int(n_token), _canonical_int(m_token)
+    if not newline or not n or m is None or n > m + 1 or not body.isascii():
+        return None
+    separators = body.encode().translate(None, _DIGITS)
+    if len(separators) != 2 * m or separators != b" \n" * m:
+        return None
+    tokens = body.split()
+    if len(tokens) != 2 * m:
+        return None
+    ids = {str(q): q for q in range(n)}
+    bits = {spelling: 1 << q for spelling, q in ids.items()}
+    out_masks = [0] * n
+    try:
+        tails = map(ids.__getitem__, tokens[::2])
+        for tail, head_bit in zip(tails, map(bits.__getitem__, tokens[1::2])):
+            out_masks[tail] |= head_bit
+    except KeyError:
+        return None
+    if sum(map(int.bit_count, out_masks)) != m:
+        return None
+    if any(mask >> v & 1 for v, mask in enumerate(out_masks)):
+        return None
+    return Digraph(n, out_masks)
+
+
+def _canonical_int(token: str) -> int | None:
+    """The value of a decimal integer written without sign or leading zero,
+    else None."""
+    if not (token.isascii() and token.isdigit()) or (token[0] == "0" and len(token) > 1):
+        return None
+    return int(token)
 
 
 def _parse_edge_lines(lines: list[str]) -> Digraph:

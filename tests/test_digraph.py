@@ -1,6 +1,7 @@
 """Core digraph type, strong components, connectivity, and isomorphism."""
 
 import itertools
+import random
 
 import pytest
 
@@ -20,7 +21,8 @@ from branchpairs import (
     terminal_initial_sets,
     validate_semicomplete,
 )
-from branchpairs.digraph import is_tournament
+from branchpairs.digraph import _bits, _breaking_arcs, _masked_components, _reach, is_tournament
+from conftest import strong_instances
 
 C3 = fixture("C3").digraph
 K3 = fixture("K3").digraph
@@ -218,3 +220,94 @@ def test_small_isomorphism_pinned_and_negative():
     assert small_isomorphism(FIG_E, FIG_F, {0: 0, 3: 3}) is None
     with pytest.raises(SizeMismatch):
         small_isomorphism(C3, S4)
+
+
+# --------------------------------------------------------------------------
+# in-masks, derived digraphs and the shortcuts of the strong tests
+
+
+def _in_masks_bit_by_bit(n, out_masks):
+    in_masks = [0] * n
+    for v, mask in enumerate(out_masks):
+        for w in _bits(mask):
+            in_masks[w] |= 1 << v
+    return in_masks
+
+
+def _random_masks(n, density, rng):
+    return [sum(1 << w for w in range(n) if w != v and rng.random() < density)
+            for v in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 12, 63, 64, 65, 70])
+def test_in_masks_are_the_transpose(n):
+    rng = random.Random(n)
+    for density in (0.0, 0.05, 0.3, 0.5, 0.9, 1.0):
+        masks = _random_masks(n, density, rng)
+        d = Digraph(n, masks)
+        assert d.in_masks() == _in_masks_bit_by_bit(n, masks)
+        assert d.m == sum(mask.bit_count() for mask in masks)
+
+
+def _assert_same_digraph(derived, fresh):
+    assert derived == fresh
+    assert hash(derived) == hash(fresh)
+    assert derived.in_masks() == fresh.in_masks()
+    assert derived.m == fresh.m
+
+
+def test_derived_digraphs_equal_fresh_ones():
+    rng = random.Random(4)
+    for n in (1, 2, 5, 12, 40, 70):
+        for density in (0.1, 0.5, 1.0):
+            d = Digraph(n, _random_masks(n, density, rng))
+            _assert_same_digraph(d.reverse(), Digraph(n, _in_masks_bit_by_bit(n, d.out_masks())))
+            arcs = d.arcs()
+            if not arcs:
+                continue
+            tail, head = rng.choice(arcs)
+            masks = d.out_masks()
+            masks[tail] &= ~(1 << head)
+            _assert_same_digraph(d.without_arc(tail, head), Digraph(n, masks))
+            dropped = rng.sample(arcs, len(arcs) // 3) + [(head, tail)]  # may be no arc
+            masks = d.out_masks()
+            for p, q in dropped:
+                masks[p] &= ~(1 << q)
+            _assert_same_digraph(d._without_arcs(dropped), Digraph(n, masks))
+
+
+def test_strong_decomposition_equals_tarjan():
+    rng = random.Random(6)
+    instances = [d for n in range(1, 6) for d in itertools.islice(enumerate_semicomplete(n), 40)]
+    instances += [Digraph(n, _random_masks(n, density, rng))  # mostly not semicomplete
+                  for n in (1, 3, 8, 20, 50) for density in (0.05, 0.2, 0.5, 0.9)]
+    instances += strong_instances()
+    strong = 0
+    for d in instances:
+        comps = _masked_components(d.n, d.out_masks(), (1 << d.n) - 1)
+        dec = strong_decomposition(d)
+        assert dec.components == tuple(tuple(_bits(c)) for c in comps)
+        assert all(dec.component_of[v] == i for i, comp in enumerate(dec.components) for v in comp)
+        strong += dec.is_strong
+    assert 0 < strong < len(instances)
+
+
+def _breaking_arcs_by_search(d, arcs):
+    masks = d.out_masks()
+    result = []
+    for x, y in arcs:
+        masks[x] &= ~(1 << y)
+        if not (_reach(masks, 1 << x) >> y & 1):
+            result.append((x, y))
+        masks[x] |= 1 << y
+    return result
+
+
+def test_breaking_arcs_skip_only_arcs_with_a_two_path():
+    found = 0
+    for d in strong_instances():
+        arcs = d.arcs()
+        expected = _breaking_arcs_by_search(d, arcs)
+        assert _breaking_arcs(d, arcs) == expected
+        found += len(expected)
+    assert found > 0

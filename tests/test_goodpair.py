@@ -41,7 +41,7 @@ from branchpairs import (
     verify_good_pair,
 )
 from branchpairs.goodpair import _strong_profile
-from conftest import assert_good_pair
+from conftest import assert_good_pair, strong_instances, trans_back
 
 C3 = fixture("C3").digraph
 K3 = fixture("K3").digraph
@@ -180,6 +180,65 @@ def test_search_budget_exhaustion_is_loud(monkeypatch):
         construct_good_pair(d, 0, 2)
 
 
+def _tournament_from_bits(n, bits):
+    """The tournament whose k-th pair i < j (lexicographic order) points
+    i -> j when bit k of `bits` is set, and j -> i otherwise."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Digraph.from_arcs(
+        n, [(i, j) if bits >> k & 1 else (j, i) for k, (i, j) in enumerate(pairs)]
+    )
+
+
+# A strong tournament of order 12 with the single cut arc (7, 4).
+KNOWN_FAULT = _tournament_from_bits(12, 0x1C06E606EE6C9FEF1)
+
+
+def _chain22():
+    """A planted 5-part odd chain of order 22: parts {0..3}, {4..8}, {9..12},
+    {13..17}, {18..21}, every cross pair pointing forward, and the back arcs
+    (11, 1), (14, 6), (18, 12)."""
+    parts = [range(0, 4), range(4, 9), range(9, 13), range(13, 18), range(18, 22)]
+    inner = [(0, 1), (2, 0), (0, 3), (1, 2), (1, 3), (3, 2),
+             (4, 5), (4, 6), (4, 7), (8, 4), (5, 6), (5, 7), (8, 5), (6, 7), (6, 8), (7, 8),
+             (10, 9), (9, 11), (9, 12), (11, 10), (10, 12), (12, 11),
+             (14, 13), (15, 13), (16, 13), (13, 17), (15, 14), (16, 14), (17, 14), (16, 15),
+             (15, 17), (17, 16),
+             (19, 18), (18, 20), (21, 18), (19, 20), (21, 19), (20, 21)]
+    cross = [(p, q) for i, first in enumerate(parts) for later in parts[i + 1:]
+             for p in first for q in later]
+    return Digraph.from_arcs(22, inner + cross + [(11, 1), (14, 6), (18, 12)])
+
+
+def test_chain22_has_a_shared_root_pair_at_13():
+    d = _chain22()
+    assert decide_good_pair(d, 13, 13) is None
+    out_parent = {17: 13, 14: 17, 6: 14, 7: 6, 8: 6, 4: 8, 5: 8, 9: 6, 10: 6, 11: 6,
+                  12: 6, 1: 11, 2: 1, 3: 1, 0: 2, 16: 17, 15: 16,
+                  18: 13, 19: 13, 20: 13, 21: 13}
+    in_parent = {q: 13 for q in (*range(13), 14, 15, 16)}
+    in_parent.update({17: 18, 19: 18, 21: 18, 20: 21, 18: 12})
+    assert_good_pair(d, 13, 13, GoodPair(Tree("out", 13, out_parent), Tree("in", 13, in_parent)))
+
+
+# Known faults: decide says yes, but the construction falls back to the
+# parent-choice search, which runs out of its budget (after seconds at the
+# default one).  A lowered budget keeps the tests fast.
+
+@pytest.mark.xfail(strict=True, raises=InternalInconsistency,
+                   reason="the construction search exhausts its budget")
+def test_construct_on_chain22_with_shared_root(monkeypatch):
+    monkeypatch.setenv("BRANCHPAIRS_SEARCH_BUDGET", "20000")
+    assert_good_pair(_chain22(), 13, 13, construct_good_pair(_chain22(), 13, 13))
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInconsistency,
+                   reason="the construction search exhausts its budget")
+def test_construct_on_known_fault(monkeypatch):
+    monkeypatch.setenv("BRANCHPAIRS_SEARCH_BUDGET", "20000")
+    assert decide_good_pair(KNOWN_FAULT, 4, 7) is None
+    assert_good_pair(KNOWN_FAULT, 4, 7, construct_good_pair(KNOWN_FAULT, 4, 7))
+
+
 def test_verify_good_pair_rejections():
     pair = construct_good_pair(S4, 0, 3)
     shared = GoodPair(pair.out_branching, pair.out_branching.reversed_kind())
@@ -316,24 +375,6 @@ def _count_calls(monkeypatch, home, name):
     return calls
 
 
-def _trans_back(n):
-    """The transitive tournament 0 -> ... -> n-1 plus the back arc (n-1, 0)."""
-    return Digraph.from_arcs(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n)] + [(n - 1, 0)]
-    )
-
-
-def _two_blocks(n, rng):
-    """Two random tournaments on [0, h) and [h, n), every cross pair pointing
-    into the second, plus the back arc (n-1, 0); strong once both blocks are."""
-    h = n // 2
-    arcs = [(i, j) for i in range(h) for j in range(h, n)] + [(n - 1, 0)]
-    for block in (range(h), range(h, n)):
-        arcs += [(i, j) if rng.random() < 0.5 else (j, i)
-                 for i in block for j in block if i < j]
-    return Digraph.from_arcs(n, arcs)
-
-
 def test_strong_profile_lives_on_the_digraph(monkeypatch):
     cycles = _count_calls(monkeypatch, branchpairs.hamilton, "_hamiltonian_cycle")
     d = Digraph(S4.n, S4.out_masks())
@@ -351,7 +392,7 @@ def test_strong_profile_lives_on_the_digraph(monkeypatch):
 
 def test_construct_after_decide_does_not_detect_again(monkeypatch):
     detections = _count_calls(monkeypatch, branchpairs.structures, "detect_odd_chain")
-    d = _trans_back(8)
+    d = trans_back(8)
     assert decide_good_pair(d, 0, 7) is None
     assert_good_pair(d, 0, 7, construct_good_pair(d, 0, 7))
     assert len(detections) == 1
@@ -365,15 +406,7 @@ def test_construct_after_decide_does_not_detect_again(monkeypatch):
 def test_profile_matches_cut_arcs_and_flows():
     # The profile finds cut arcs among the arcs of one hamiltonian cycle;
     # the public functions test every arc and run max-flows.
-    rng = random.Random(9)
-    instances = [
-        random_semicomplete(GeneratorConfig(n=n, digon_prob=p, seed=seed, constraint="strong"))
-        for n in range(2, 31) for p in (0.0, 0.1, 0.3) for seed in range(3)
-        if n > 2 or p > 0  # a strong digraph of order two is a digon
-    ]
-    instances += [_trans_back(n) for n in range(2, 31)]
-    instances += [d for n in range(6, 31, 4) for d in [_two_blocks(n, rng)]
-                  if strong_decomposition(d).is_strong]
+    instances = strong_instances()
     assert sum(not is_k_arc_strong(d, 2) for d in instances) > 60
     for d in instances:
         profile = _strong_profile(d)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchpairs import (
     Digraph,
@@ -45,24 +47,131 @@ def test_edge_list_ignores_comments_and_blank_lines():
     assert formats.parse_edge_list(text) == C3
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",  # no header
-        "3\n0 1\n",  # header missing the arc count
-        "3 2\n0 1\n",  # fewer arcs than announced
-        "3 1\n0 1\n1 2\n",  # more arcs than announced
-        "0 0\n",  # empty vertex set
-        "3 1\n0 3\n",  # head out of range
-        "3 1\n1 1\n",  # self-loop
-        "3 2\n0 1\n0 1\n",  # duplicate arc
-        "3 1\nzero one\n",  # not integers
-        "x y\n",  # garbage header
-    ],
-)
+MALFORMED_EDGE_LISTS = [
+    "",  # no header
+    "3\n0 1\n",  # header missing the arc count
+    "3 2\n0 1\n",  # fewer arcs than announced
+    "3 1\n0 1\n1 2\n",  # more arcs than announced
+    "0 0\n",  # empty vertex set
+    "3 1\n0 3\n",  # head out of range
+    "3 1\n1 1\n",  # self-loop
+    "3 2\n0 1\n0 1\n",  # duplicate arc
+    "3 1\nzero one\n",  # not integers
+    "x y\n",  # garbage header
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_EDGE_LISTS)
 def test_edge_list_rejects_malformed_text(text):
     with pytest.raises(ParseError):
         formats.parse_edge_list(text)
+
+
+# --------------------------------------------------------------------------
+# the whole-text reader against the line reader
+
+
+def _outcome(read, text):
+    """A digraph with its in-masks and arc count, or the ParseError message."""
+    try:
+        d = read(text)
+    except ParseError as exc:
+        return str(exc)
+    return d, d.in_masks(), d.m
+
+
+def assert_reads_like_the_line_reader(text):
+    reference = _outcome(lambda t: formats._parse_edge_lines(t.splitlines()), text)
+    assert _outcome(formats.parse_digraph, text) == reference
+    assert _outcome(formats.parse_edge_list, text) == reference
+    fast = formats._read_canonical(text)
+    assert fast is None or _outcome(lambda t: fast, text) == reference
+
+
+@pytest.mark.parametrize(
+    "text",
+    MALFORMED_EDGE_LISTS
+    + [
+        "3 3\n0 1\n1 1\n2 0\n",  # canonical but for a self-loop
+        "3 3\n0 1\n1 2\n1 2\n",  # canonical but for a duplicate arc
+        "3 3\n0 1\n1 2\n2 3\n",  # canonical but for an id out of range
+        "3 3\n0 1\n1 2\n20 0\n",
+        "3 0\n",
+        "3 0",
+        "3 3\n0\t1\n1 2\n2 0\n",  # a tab
+        "3 3\r\n0 1\r\n1 2\r\n2 0\r\n",  # CRLF
+        "3 3\n0 1 \n1 2\n2 0\n",  # a trailing space
+        "3 3\n0 1\n1 2\n2 0",  # no final newline
+        "# c3\n3 3\n0 1\n1 2\n2 0\n",  # a comment
+        "3 3\n0 1\n\n1 2\n2 0\n",  # a blank line
+        "3 3\n0 1\n1 2\n2 0\n\n",
+        "3 3\n007 1\n1 2\n2 0\n",  # a leading zero
+        "03 3\n0 1\n1 2\n2 0\n",
+        "3 3\n+1 2\n0 1\n2 0\n",  # a sign
+        "3 3\n0  1\n1 2\n2 0\n",  # two spaces
+        " 3 3\n0 1\n1 2\n2 0\n",  # a leading space
+        "3 3\n0 1 1\n2\n2 0\n",  # three numbers on a line, one on the next
+        "3 3\n0 \u0661\n1 2\n2 0\n",  # a non-ASCII digit
+        "3 99999999999999\n0 1\n",  # a huge arc count
+        "2 1\n0 1\n",
+        "1 0\n",
+    ],
+)
+def test_whole_text_reader_matches_the_line_reader(text):
+    assert_reads_like_the_line_reader(text)
+
+
+def test_whole_text_reader_takes_serialized_text():
+    for d in (C3, S4, CHAIN4, CHAIN5, Digraph.from_arcs(1, [])):
+        assert formats._read_canonical(formats.serialize_edge_list(d)) == d
+
+
+_NOISE = (
+    lambda line: line,
+    lambda line: line.replace(" ", "\t"),
+    lambda line: line.replace(" ", "  "),
+    lambda line: line + " ",
+    lambda line: " " + line,
+    lambda line: "0" + line,
+    lambda line: "+" + line,
+    lambda line: line + "\r",
+    lambda line: "# note\n" + line,
+    lambda line: "\n" + line,
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists of random digraphs (not necessarily semicomplete) of order
+    1-40, serialized canonically or with noise on some lines, sometimes with
+    an extra line that repeats an arc, loops or leaves the vertex range."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from((0.05, 0.5, 0.95)))
+    rng = draw(st.randoms(use_true_random=False))
+    masks = [
+        sum(1 << w for w in range(n) if w != v and rng.random() < density)
+        for v in range(n)
+    ]
+    lines = formats.serialize_edge_list(Digraph(n, masks)).splitlines()
+    fault = draw(st.sampled_from((None, "duplicate", "loop", "range")))
+    if fault is not None and (fault != "duplicate" or len(lines) > 1):
+        extra = {"duplicate": lines[-1], "loop": f"{n - 1} {n - 1}", "range": f"0 {n}"}
+        lines.append(extra[fault])
+        lines[0] = f"{n} {len(lines) - 1}"
+    if draw(st.booleans()):
+        noise = draw(st.lists(st.integers(0, len(_NOISE) - 1),
+                              min_size=len(lines), max_size=len(lines)))
+        lines = [_NOISE[k](line) for k, line in zip(noise, lines)]
+    body = lines[1:]
+    if draw(st.booleans()):
+        rng.shuffle(body)
+    return "\n".join(lines[:1] + body) + ("\n" if draw(st.booleans()) else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+def test_whole_text_reader_matches_the_line_reader_on_random_texts(text):
+    assert_reads_like_the_line_reader(text)
 
 
 # --------------------------------------------------------------------------
