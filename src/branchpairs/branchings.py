@@ -18,6 +18,7 @@ from .digraph import (
     ArcPath,
     Digraph,
     _bits,
+    _mask,
     _max_flow,
     _reach,
     _residual_sink_side,
@@ -166,13 +167,7 @@ def bfs_tree(digraph: Digraph, root: int, kind: str, within=None) -> Tree:
     """Breadth-first out-/in-tree from `root`, restricted to `within` when
     given.  Covers exactly the vertices reachable (for 'out') or reaching
     (for 'in') inside the restriction; callers check coverage."""
-    n = digraph.n
-    if within is None:
-        allowed = (1 << n) - 1
-    else:
-        allowed = 0
-        for q in within:
-            allowed |= 1 << q
+    allowed = (1 << digraph.n) - 1 if within is None else _mask(within)
     masks = digraph.out_masks() if kind == "out" else digraph.in_masks()
     parent: dict[int, int] = {}
     visited = 1 << root
@@ -273,26 +268,6 @@ def two_arc_disjoint_out_branchings(
     return tree, second
 
 
-def _unique_entering_arc(digraph: Digraph, part_mask: int) -> tuple[int, int]:
-    """The single arc from outside `part_mask` into it (asserts uniqueness)."""
-    entering = []
-    for head in _bits(part_mask):
-        for tail in _bits(digraph.in_mask(head) & ~part_mask):
-            entering.append((tail, head))
-    if len(entering) != 1:
-        raise InternalInconsistency(
-            f"expected exactly one entering arc, found {sorted(entering)}"
-        )
-    return entering[0]
-
-
-def _mask_of(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
     """Out-branching rooted at u arc-disjoint from some (w,v)-path, or a
     structural certificate that none exists.
@@ -323,7 +298,7 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
 
     def _type_a(part1, part2) -> TypeCertificate:
         host = sorted(part1) + sorted(part2)
-        arc = _unique_entering_arc_within(digraph, _mask_of(part1), _mask_of(host))
+        arc = _unique_entering_arc(digraph, _mask(part1), _mask(host))
         cert = TypeCertificate(
             kind="A",
             parts=(tuple(sorted(part1)), tuple(sorted(part2))),
@@ -360,13 +335,13 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
             first, second = result
             return first, second.spine(v)
         x_set = result.vertices
-        x_mask = _mask_of(x_set)
+        x_mask = _mask(x_set)
         if result.indegree != 1:
             # u reaches every vertex, so every set avoiding u has an entering arc.
             raise InternalInconsistency("deficient set with in-degree 0 despite u∈Out")
         if v in x_set:
             return _type_a(x_set, [q for q in range(n) if q not in x_set])
-        x_tail, y_head = _unique_entering_arc(digraph, x_mask)
+        x_tail, y_head = _unique_entering_arc(digraph, x_mask, full)
         # Two arc-disjoint paths from u to {x_tail, v} inside D minus X.  A
         # super-sink absorbs one unit from each target; when the targets
         # coincide we ask for two arc-disjoint (u, x_tail)-paths directly.
@@ -443,7 +418,7 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
         other = Tree("out", w, {c: p for c, p in b_w.parent.items() if c != w})
         return branching, other.spine(v)
     x_set = result.vertices
-    x_mask = _mask_of(x_set)
+    x_mask = _mask(x_set)
     u_in = bool(x_mask >> u & 1)
     w_in = bool(x_mask >> w & 1)
     if u_in and w_in:
@@ -474,13 +449,13 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
             raise InternalInconsistency("(w,v)-path vanished outside the closed set")
         path = tuple(verts[q] for q in inner.spine(pos[v]).vertices)
         return branching, ArcPath(path)
-    x_tail, y_head = _unique_entering_arc(aux, x_mask)  # the aux root is outside X
+    x_tail, y_head = _unique_entering_arc(aux, x_mask, (1 << aux.n) - 1)  # aux root ∉ X
     outcome = arc_disjoint_path_pair(digraph, u, y_head, w, v)
     if isinstance(outcome, tuple):
         path_uy, path_wv = outcome
         if path_uy.arcs()[-1] != (x_tail, y_head):
             raise InternalInconsistency("(u,y)-path enters the tight set irregularly")
-        if _mask_of(path_wv.vertices) & x_mask:
+        if _mask(path_wv.vertices) & x_mask:
             raise InternalInconsistency("(w,v)-path crosses the tight set")
         parent = {}
         for a, b in path_uy.arcs():
@@ -512,7 +487,7 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
     part1 = cert.parts[0]
     component = sorted(q for part in cert.parts for q in part)
     part2 = tuple(q for q in component if q not in set(part1))
-    arc = _unique_entering_arc_within(digraph, _mask_of(part1), _mask_of(component))
+    arc = _unique_entering_arc(digraph, _mask(part1), _mask(component))
     collapsed = TypeCertificate(
         kind="A", parts=(tuple(sorted(part1)), part2), back_arcs=(arc,), u=u, w=w, v=v
     )
@@ -524,10 +499,11 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
     return collapsed
 
 
-def _unique_entering_arc_within(
+def _unique_entering_arc(
     digraph: Digraph, part_mask: int, host_mask: int
 ) -> tuple[int, int]:
-    """The single arc from host_mask∖part_mask into part_mask."""
+    """The single arc from host_mask∖part_mask into part_mask (asserts
+    uniqueness)."""
     entering = []
     for head in _bits(part_mask):
         for tail in _bits(digraph.in_mask(head) & host_mask & ~part_mask):

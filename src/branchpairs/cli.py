@@ -8,7 +8,9 @@ text or, with ``--json``, as the stable structured form with ``"schema": 1``.
 Exit codes: 0 = yes / valid / pass / found, 1 = no (with certificate or
 obstruction) / invalid / none found, 2 = input error, 3 = internal
 inconsistency or any other unexpected error (always a bug, never a property
-of the input).
+of the input).  A backtracking search that runs out of its fixed node budget
+is such an inconsistency.  The arguments are the whole interface: no
+environment variable changes what a command does.
 """
 
 from __future__ import annotations
@@ -57,16 +59,21 @@ def _instance_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at `path`, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_instance(args: argparse.Namespace) -> Digraph:
     if args.fixture is not None:
         return fixture(args.fixture).digraph
-    if args.input == "-":
-        return formats.parse_digraph(sys.stdin.read())
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            return formats.parse_digraph(handle.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.input}: {exc.strerror}") from exc
+    return formats.parse_digraph(_read_text(args.input))
 
 
 def _certificate_text(certificate) -> str:
@@ -156,16 +163,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     digraph = _load_instance(args)
-    if args.result == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(args.result, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.result}: {exc.strerror}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(_read_text(args.result))
     except json.JSONDecodeError as exc:
         raise ParseError(f"result file is not JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -311,16 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Decide and construct arc-disjoint out-/in-branching pairs in "
             "semicomplete digraphs, with machine-checkable certificates."
         ),
-        epilog=(
-            "Environment: BRANCHPAIRS_SEARCH_BUDGET caps backtracking nodes "
-            "(default 1000000).  The --search-budget flag overrides it."
-        ),
-    )
-    parser.add_argument(
-        "--search-budget",
-        type=int,
-        metavar="NODES",
-        help="override the backtracking node budget for this invocation",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -413,10 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.search_budget is not None:
-        if args.search_budget <= 0:
-            parser.error("--search-budget must be positive")
-        os.environ["BRANCHPAIRS_SEARCH_BUDGET"] = str(args.search_budget)
     try:
         return args.run(args)
     except InternalInconsistency as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BadEndpoints, NotStrong, SizeMismatch, TooLarge
+from .errors import BadEndpoints, NotSemicomplete, NotStrong, SizeMismatch, TooLarge
 
 
 def _bits(mask: int):
@@ -21,6 +21,14 @@ def _bits(mask: int):
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def _mask(vertices) -> int:
+    """Bitmask of the vertices in `vertices`; the inverse of `_bits`."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def _transpose(n: int, masks) -> list[int]:
@@ -269,10 +277,7 @@ class StrongDecomposition:
         return self.components[-1]
 
     def mask_of(self, index: int) -> int:
-        mask = 0
-        for v in self.components[index]:
-            mask |= 1 << v
-        return mask
+        return _mask(self.components[index])
 
 
 def validate_semicomplete(digraph: Digraph) -> tuple[int, int] | None:
@@ -286,6 +291,18 @@ def validate_semicomplete(digraph: Digraph) -> tuple[int, int] | None:
             b = (missing & -missing).bit_length() - 1
             return (a, b)
     return None
+
+
+def _check_instance(digraph: Digraph, *vertices: int | None) -> None:
+    """The input check of every public entry point: NotSemicomplete for the
+    first non-adjacent pair, then BadEndpoints for the first vertex out of
+    range.  `None` stands for a role the caller leaves open."""
+    bad = validate_semicomplete(digraph)
+    if bad is not None:
+        raise NotSemicomplete(bad)
+    for vertex in vertices:
+        if vertex is not None and not 0 <= vertex < digraph.n:
+            raise BadEndpoints(f"vertex {vertex} out of range")
 
 
 def is_tournament(digraph: Digraph) -> bool:
@@ -379,19 +396,13 @@ def terminal_initial_sets(digraph: Digraph) -> tuple[tuple[int, ...], tuple[int,
     # The component reading is only valid when initial/terminal components are
     # unique "ends" of the condensation; semicomplete inputs guarantee it, and
     # for anything else we fall back to the definition.
-    out_mask = 0
-    for v in out_set:
-        out_mask |= 1 << v
     full = (1 << digraph.n) - 1
-    if _reach(list(digraph._out), out_mask) != full:
+    if _reach(list(digraph._out), _mask(out_set)) != full:
         out_set = tuple(
             v for v in range(digraph.n)
             if _reach(list(digraph._out), 1 << v) == full
         )
-    in_mask = 0
-    for v in in_set:
-        in_mask |= 1 << v
-    if _reach(list(digraph._in), in_mask) != full:
+    if _reach(list(digraph._in), _mask(in_set)) != full:
         in_set = tuple(
             v for v in range(digraph.n)
             if _reach(list(digraph._in), 1 << v) == full

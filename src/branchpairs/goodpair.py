@@ -19,29 +19,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import structures
 from .branchings import GoodPair, Tree, bfs_tree, out_branching_vs_path
-from .config import search_budget
 from .digraph import (
     ArcPath,
     Digraph,
     StrongDecomposition,
     _bits,
     _breaking_arcs,
+    _check_instance,
     _masked_components,
     _reach,
     small_isomorphism,
     strong_decomposition,
-    validate_semicomplete,
 )
-from .errors import (
-    BadEndpoints,
-    InternalInconsistency,
-    NotSemicomplete,
-    NotStrong,
-    PreconditionViolated,
-)
+from .errors import InternalInconsistency, NotStrong, PreconditionViolated
 from .fixtures import exception_catalog
-from .hamilton import _hamiltonian_cycle, hamiltonian_path_from
+from .hamilton import _hamiltonian_cycle, _rotate, hamiltonian_path_from
 from .structures import TypeCertificate, detect_odd_chain, verify_type_certificate
 
 
@@ -103,15 +97,6 @@ class SameRootStructure:
     b_set: tuple[int, ...]
     c_set: tuple[int, ...]
     arc: tuple[int, int]
-
-
-def _check_instance(digraph: Digraph, *roots: int) -> None:
-    bad = validate_semicomplete(digraph)
-    if bad is not None:
-        raise NotSemicomplete(bad)
-    for root in roots:
-        if not 0 <= root < digraph.n:
-            raise BadEndpoints(f"vertex {root} out of range")
 
 
 # --------------------------------------------------------------------------
@@ -452,9 +437,7 @@ def extend_trees_across_cut(
     exactly its own side).  Returns the two extended trees, or an
     ExtensionObstruction when no move applies.
     """
-    bad = validate_semicomplete(digraph)
-    if bad is not None:
-        raise NotSemicomplete(bad)
+    _check_instance(digraph)
     x = frozenset(x_set)
     y = frozenset(y_set)
     n = digraph.n
@@ -530,7 +513,7 @@ def extend_trees_across_cut(
     elif mode == "in-tree-arc":
         moved = _moves_in_tree_arc(digraph, out_tree, in_tree, x, y, a, b)
     else:
-        moved = _moves_back_arc(digraph, out_tree, in_tree, x, y, a, b)
+        moved = _mirrored(_back_arc_primal, digraph, out_tree, in_tree, x, y, a, b)
     if moved is not None:
         return _checked_extension(digraph, out_tree.root, in_tree.root, moved)
 
@@ -568,17 +551,27 @@ def _checked_extension(digraph, out_root, in_root, moved):
     return out2, in2
 
 
-def _moves_no_arc(digraph, out_tree, in_tree, x, y):
-    moved = _no_arc_primal(digraph, out_tree, in_tree, x, y)
+def _mirrored(primal, digraph, out_tree, in_tree, x, y, *arc):
+    """The move of the table `primal`, else its move on the reverse digraph
+    with the trees, the sides and the designated arc (if any) swapped, turned
+    back; None when neither applies."""
+    moved = primal(digraph, out_tree, in_tree, x, y, *arc)
     if moved is not None:
         return moved
-    reverse = digraph.reverse()
-    moved = _no_arc_primal(
-        reverse, in_tree.reversed_kind(), out_tree.reversed_kind(), y, x
+    moved = primal(
+        digraph.reverse(), in_tree.reversed_kind(), out_tree.reversed_kind(), y, x,
+        *arc[::-1],
     )
     if moved is not None:
         rev_out, rev_in = moved
         return rev_in.reversed_kind(), rev_out.reversed_kind()
+    return None
+
+
+def _moves_no_arc(digraph, out_tree, in_tree, x, y):
+    moved = _mirrored(_no_arc_primal, digraph, out_tree, in_tree, x, y)
+    if moved is not None:
+        return moved
     if len(x) == 2 and len(y) == 2:
         x1, x2 = sorted(x)
         y1, y2 = sorted(y)
@@ -665,20 +658,6 @@ def _moves_in_tree_arc(digraph, out_tree, in_tree, x, y, a, b):
         out2 = out_tree.with_arcs([(x1, y1), (x2, y2)])
         in2 = in_tree.with_arcs([(x1, y2), (x2, y1)])
         return out2, in2
-    return None
-
-
-def _moves_back_arc(digraph, out_tree, in_tree, x, y, a, b):
-    moved = _back_arc_primal(digraph, out_tree, in_tree, x, y, a, b)
-    if moved is not None:
-        return moved
-    reverse = digraph.reverse()
-    moved = _back_arc_primal(
-        reverse, in_tree.reversed_kind(), out_tree.reversed_kind(), y, x, b, a
-    )
-    if moved is not None:
-        rev_out, rev_in = moved
-        return rev_in.reversed_kind(), rev_out.reversed_kind()
     return None
 
 
@@ -924,9 +903,10 @@ def _nonstrong_pair(
 
 def _cycle_pair(digraph: Digraph, u: int, v: int, cycle: ArcPath) -> GoodPair:
     """Spanning-cycle spine for strong digraphs without a usable cut arc."""
-    attempt = _residual_attempt(digraph, u, v, _rotate_to(cycle, first=u), "out")
+    vs = cycle.vertices
+    attempt = _residual_attempt(digraph, u, v, ArcPath(_rotate(vs, first=u)), "out")
     if attempt is None:
-        attempt = _residual_attempt(digraph, u, v, _rotate_to(cycle, last=v), "in")
+        attempt = _residual_attempt(digraph, u, v, ArcPath(_rotate(vs, last=v)), "in")
     if attempt is None:
         attempt = _search_pair(digraph, u, v)
     return attempt
@@ -997,29 +977,16 @@ def _cut_arc_pair(
 
 
 def _component_tree(digraph: Digraph, vertices, root: int, kind: str) -> Tree:
-    sub, ids = digraph.induced(vertices)
-    pos = {orig: local for local, orig in enumerate(ids)}
-    local = bfs_tree(sub, pos[root], kind)
-    if len(local.covered()) != len(ids):
+    tree = bfs_tree(digraph, root, kind, within=vertices)
+    if len(tree.covered()) != len(vertices):
         raise InternalInconsistency("side tree does not span its side")
-    return Tree(kind, root, {ids[c]: ids[p] for c, p in local.parent.items()})
+    return tree
 
 
 def _path_tree(path: ArcPath, kind: str) -> Tree:
     if kind == "out":
         return Tree("out", path.start, {h: t for t, h in path.arcs()})
     return Tree("in", path.end, {t: h for t, h in path.arcs()})
-
-
-def _rotate_to(cycle: ArcPath, first: int | None = None, last: int | None = None) -> ArcPath:
-    verts = list(cycle.vertices)
-    if first is not None:
-        i = verts.index(first)
-        verts = verts[i:] + verts[:i]
-    else:
-        i = verts.index(last)
-        verts = verts[i + 1 :] + verts[: i + 1]
-    return ArcPath(tuple(verts))
 
 
 def _residual_attempt(digraph, u, v, path, kind) -> GoodPair | None:
@@ -1060,7 +1027,7 @@ def _search_pair(digraph: Digraph, u: int, v: int) -> GoodPair:
     ins = digraph.in_masks()
     rev_residual = list(ins)
     parent: dict[int, int] = {}
-    budget = [search_budget()]
+    budget = [structures._SEARCH_BUDGET]
 
     def place(i: int) -> GoodPair | None:
         budget[0] -= 1

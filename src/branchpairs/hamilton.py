@@ -10,24 +10,21 @@ domination order.  All outputs are verified before being returned.
 
 from __future__ import annotations
 
-from .digraph import ArcPath, Digraph, _bits, strong_decomposition, validate_semicomplete
-from .errors import (
-    BadEndpoints,
-    InternalInconsistency,
-    NoPath,
-    NotSemicomplete,
-    NotStrong,
+from .digraph import (
+    ArcPath,
+    Digraph,
+    StrongDecomposition,
+    _bits,
+    _check_instance,
+    strong_decomposition,
 )
+from .errors import BadEndpoints, InternalInconsistency, NoPath, NotStrong
 
 
-def _check_semicomplete(digraph: Digraph) -> None:
-    bad = validate_semicomplete(digraph)
-    if bad is not None:
-        raise NotSemicomplete(bad)
-
-
-def _rotate(cycle: list[int], first: int) -> list[int]:
-    i = cycle.index(first)
+def _rotate(cycle, first: int | None = None, last: int | None = None):
+    """The cycle's vertex sequence rotated to start at `first`, or else to
+    end at `last`."""
+    i = cycle.index(first) if first is not None else cycle.index(last) + 1
     return cycle[i:] + cycle[:i]
 
 
@@ -42,7 +39,7 @@ def hamiltonian_cycle(digraph: Digraph) -> ArcPath:
     classes are non-empty by strongness, and any arc from the dominated class
     to the dominating class lets us splice in two vertices at once.
     """
-    _check_semicomplete(digraph)
+    _check_instance(digraph)
     if digraph.n < 2:
         raise ValueError("a hamiltonian cycle needs at least two vertices")
     if not strong_decomposition(digraph).is_strong:
@@ -115,13 +112,33 @@ def _component_path(digraph: Digraph, component: tuple[int, ...], first=None, la
     if len(component) == 1:
         return list(component)
     sub, ids = digraph.induced(component)
-    cycle = [ids[q] for q in hamiltonian_cycle(sub).vertices]
-    if first is not None:
-        return _rotate(cycle, first)
-    if last is not None:
-        rotated = _rotate(cycle, last)
-        return rotated[1:] + rotated[:1]
-    return cycle
+    cycle = [ids[q] for q in _hamiltonian_cycle(sub).vertices]
+    if first is None and last is None:
+        return cycle
+    return _rotate(cycle, first, last)
+
+
+def _chain_components(
+    digraph: Digraph, dec: StrongDecomposition, first: int, last: int | None = None
+) -> ArcPath:
+    """Spanning path through the strong components in their acyclic order,
+    starting at `first` in the initial one and, when given, ending at `last`
+    in the terminal one; verified before it is returned."""
+    final = len(dec.components) - 1
+    sequence: list[int] = []
+    for index, component in enumerate(dec.components):
+        sequence.extend(
+            _component_path(
+                digraph,
+                component,
+                first=first if index == 0 else None,
+                last=last if index == final else None,
+            )
+        )
+    path = ArcPath(tuple(sequence))
+    if len(sequence) != digraph.n or not path.in_digraph(digraph):
+        raise NoPath("assembled spanning path failed verification")
+    return path
 
 
 def hamiltonian_path_from(digraph: Digraph, x: int, direction: str = "start") -> ArcPath:
@@ -136,29 +153,19 @@ def hamiltonian_path_from(digraph: Digraph, x: int, direction: str = "start") ->
     if direction == "end":
         mirrored = hamiltonian_path_from(digraph.reverse(), x, "start")
         return ArcPath(tuple(reversed(mirrored.vertices)))
-    _check_semicomplete(digraph)
-    if not 0 <= x < digraph.n:
-        raise BadEndpoints(f"vertex {x} out of range")
+    _check_instance(digraph, x)
     dec = strong_decomposition(digraph)
     if x not in dec.components[0]:
         raise NotStrong(
             "a spanning path from x needs x in the initial strong component"
         )
-    sequence: list[int] = []
-    for index, component in enumerate(dec.components):
-        sequence.extend(
-            _component_path(digraph, component, first=x if index == 0 else None)
-        )
-    path = ArcPath(tuple(sequence))
-    if len(sequence) != digraph.n or not path.in_digraph(digraph):
-        raise NoPath("assembled spanning path failed verification")
-    return path
+    return _chain_components(digraph, dec, x)
 
 
 def hamiltonian_path_between(digraph: Digraph, x: int, y: int) -> ArcPath:
     """Hamiltonian (x,y)-path in a non-strong semicomplete digraph, for x in
     the initial and y in the terminal strong component."""
-    _check_semicomplete(digraph)
+    _check_instance(digraph)
     if not (0 <= x < digraph.n and 0 <= y < digraph.n):
         raise BadEndpoints("endpoint out of range")
     dec = strong_decomposition(digraph)
@@ -168,18 +175,4 @@ def hamiltonian_path_between(digraph: Digraph, x: int, y: int) -> ArcPath:
         raise BadEndpoints("x must lie in the initial strong component")
     if y not in dec.components[-1]:
         raise BadEndpoints("y must lie in the terminal strong component")
-    sequence: list[int] = []
-    final = len(dec.components) - 1
-    for index, component in enumerate(dec.components):
-        sequence.extend(
-            _component_path(
-                digraph,
-                component,
-                first=x if index == 0 else None,
-                last=y if index == final else None,
-            )
-        )
-    path = ArcPath(tuple(sequence))
-    if len(sequence) != digraph.n or not path.in_digraph(digraph):
-        raise NoPath("assembled spanning path failed verification")
-    return path
+    return _chain_components(digraph, dec, x, y)

@@ -14,22 +14,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import search_budget
 from .digraph import (
     ArcPath,
     Digraph,
     _bits,
+    _check_instance,
+    _mask,
     _masked_components,
     _reach,
     strong_decomposition,
     validate_semicomplete,
 )
-from .errors import (
-    BadEndpoints,
-    InternalInconsistency,
-    NoBasePath,
-    NotSemicomplete,
-)
+from .errors import InternalInconsistency, NoBasePath
+
+# Node budget of every backtracking search in the package (here and in
+# `goodpair._search_pair`).  Running out of it raises InternalInconsistency:
+# it bounds the time a search may take and never turns into an answer.
+_SEARCH_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,6 @@ def relabel_type_certificate(cert: TypeCertificate, mapping) -> TypeCertificate:
     )
 
 
-def _mask(vertices) -> int:
-    m = 0
-    for q in vertices:
-        m |= 1 << q
-    return m
-
-
 def verify_type_certificate(
     digraph: Digraph, cert: TypeCertificate
 ) -> tuple[bool, str | None]:
@@ -121,11 +115,11 @@ def verify_type_certificate(
     for i, part in enumerate(parts):
         if not part:
             return False, f"part {i + 1} is empty"
-        pm = _mask(part)
-        if len(part) != pm.bit_count():
+        if len(set(part)) != len(part):
             return False, f"part {i + 1} repeats a vertex"
-        if pm & ~((1 << n) - 1):
+        if not all(0 <= q < n for q in part):
             return False, f"part {i + 1} contains an out-of-range vertex"
+        pm = _mask(part)
         if pm & seen:
             return False, f"part {i + 1} overlaps an earlier part"
         seen |= pm
@@ -284,14 +278,8 @@ def _detect(
     required: int | None,
     odd_only: bool,
 ) -> TypeCertificate | None:
-    n = digraph.n
-    bad = validate_semicomplete(digraph)
-    if bad is not None:
-        raise NotSemicomplete(bad)
-    for role in (u, w, v, required):
-        if role is not None and not 0 <= role < n:
-            raise BadEndpoints(f"vertex {role} out of range")
-    if n < 2:
+    _check_instance(digraph, u, w, v, required)
+    if digraph.n < 2:
         return None
     if not odd_only:
         cert = _scan_type_a(digraph, u, w, v, required)
@@ -363,7 +351,7 @@ def _layer_search(
     ubit = 1 << u
     wbit = 0 if w is None else 1 << w
     vbit = 1 << v
-    budget = [search_budget()]
+    budget = [_SEARCH_BUDGET]
     failed: set[tuple[int, int | None, int, int]] = set()
 
     def spend() -> None:
@@ -574,13 +562,7 @@ def arc_disjoint_path_pair(
     obstruction nor a pair is found the implementation is broken, and that
     surfaces as InternalInconsistency rather than a quiet wrong answer.
     """
-    bad = validate_semicomplete(digraph)
-    if bad is not None:
-        raise NotSemicomplete(bad)
-    n = digraph.n
-    for vertex in (x1, y1, x2, y2):
-        if not 0 <= vertex < n:
-            raise BadEndpoints(f"vertex {vertex} out of range")
+    _check_instance(digraph, x1, y1, x2, y2)
     out = digraph.out_masks()
     for s, t in ((x1, y1), (x2, y2)):
         if not _reach(out, 1 << s) >> t & 1:
@@ -668,7 +650,7 @@ def _search_paths(
     used = [0] * n
     prefix = [x1]
     on_prefix = 1 << x1
-    budget = [search_budget()]
+    budget = [_SEARCH_BUDGET]
 
     def rec() -> tuple[ArcPath, ArcPath] | None:
         nonlocal on_prefix

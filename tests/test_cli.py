@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, and output stability."""
 
+import ast
 import io
 import json
+import pathlib
 
 import pytest
 
+import branchpairs.structures
 from branchpairs import fixture
 from branchpairs.cli import main
 from branchpairs.io import parse_edge_list, serialize_edge_list
@@ -98,6 +101,24 @@ def test_verify_certificate_round_trip(capsys, tmp_path):
     )
     assert code == 0
     assert "valid" in out
+
+
+@pytest.mark.parametrize("vertex", [-1, 4])
+def test_verify_reports_out_of_range_certificate_vertices(capsys, tmp_path, vertex):
+    partition = {
+        "kind": "chain", "parts": [[0], [1], [2], [vertex]], "back_arcs": [[2, 0], [3, 1]],
+        "roles": {"u": 3, "w": 2, "v": 1},
+    }
+    result = tmp_path / "cert.json"
+    result.write_text(json.dumps(
+        {"schema": 1, "result": "no", "certificate": {"kind": "odd-chain", "partition": partition}}
+    ))
+    code, out, _ = run(
+        capsys,
+        "verify", "--fixture", "CHAIN4", "--result", str(result), "-u", "3", "-v", "1",
+    )
+    assert code == 1
+    assert out.strip() == "invalid: part 4 contains an out-of-range vertex"
 
 
 def test_verify_certificate_needs_roots(capsys, tmp_path):
@@ -215,17 +236,12 @@ def test_input_errors_exit_two(capsys, tmp_path):
 
 
 def test_exhausted_search_exits_three(capsys, tmp_path, monkeypatch):
-    # guard the environment so the budget override cannot leak out of the test
-    monkeypatch.setenv("BRANCHPAIRS_SEARCH_BUDGET", "1000000")
     instance = tmp_path / "tight.txt"
     instance.write_text("3 5\n0 1\n0 2\n1 0\n1 2\n2 0\n")
     code, _, _ = run(capsys, "construct", "--input", str(instance), "-u", "0", "-v", "2")
     assert code == 0
-    code, _, err = run(
-        capsys,
-        "--search-budget", "1",
-        "construct", "--input", str(instance), "-u", "0", "-v", "2",
-    )
+    monkeypatch.setattr(branchpairs.structures, "_SEARCH_BUDGET", 1)
+    code, _, err = run(capsys, "construct", "--input", str(instance), "-u", "0", "-v", "2")
     assert code == 3
     assert err.strip() != ""
 
@@ -239,3 +255,19 @@ def test_unexpected_errors_exit_three_not_one(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "RuntimeError: boom" in err
+
+
+def test_package_reads_no_environment():
+    # Every setting is an argument: a module that reads the environment would
+    # bring back a knob that tests and benchmarks never see.
+    forbidden = {"environ", "environb", "getenv", "getenvb", "putenv"}
+    package = pathlib.Path(branchpairs.structures.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not names & forbidden, f"{path.name}:{node.lineno} reads the environment"

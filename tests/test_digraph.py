@@ -7,19 +7,34 @@ import pytest
 
 from branchpairs import (
     ArcPath,
+    BadEndpoints,
     Digraph,
+    GoodPair,
+    NotSemicomplete,
     NotStrong,
+    PreconditionViolated,
     SizeMismatch,
+    Tree,
+    arc_disjoint_path_pair,
     arc_disjoint_paths,
+    construct_good_pair,
     cut_arcs,
+    decide_good_pair,
+    detect_obstruction_type,
+    detect_odd_chain,
     enumerate_semicomplete,
+    extend_trees_across_cut,
     fixture,
+    hamiltonian_path_from,
     is_k_arc_strong,
     local_arc_connectivity,
+    same_root_pair,
     small_isomorphism,
     strong_decomposition,
     terminal_initial_sets,
     validate_semicomplete,
+    verify_certificate,
+    verify_good_pair,
 )
 from branchpairs.digraph import _bits, _breaking_arcs, _masked_components, _reach, is_tournament
 from conftest import strong_instances
@@ -311,3 +326,37 @@ def test_breaking_arcs_skip_only_arcs_with_a_two_path():
         assert _breaking_arcs(d, arcs) == expected
         found += len(expected)
     assert found > 0
+
+
+# Every public entry point checks its input the same way, in this order: a
+# non-adjacent pair first, then each vertex argument in turn.
+ENTRY_POINTS = {
+    "decide_good_pair": lambda d, x: decide_good_pair(d, 0, x),
+    "construct_good_pair": lambda d, x: construct_good_pair(d, 0, x),
+    "verify_good_pair": lambda d, x: verify_good_pair(
+        d, x, 1, GoodPair(Tree("out", 0), Tree("in", 1))
+    ),
+    "verify_certificate": lambda d, x: verify_certificate(d, 0, x, None),
+    "same_root_pair": lambda d, x: same_root_pair(d, x),
+    "extend_trees_across_cut": lambda d, x: extend_trees_across_cut(
+        d, Tree("out", 0), Tree("in", 1), {0}, {1, x}, "no-arc"
+    ),
+    "hamiltonian_path_from": lambda d, x: hamiltonian_path_from(d, x),
+    "detect_obstruction_type": lambda d, x: detect_obstruction_type(d, 0, x, 1),
+    "detect_odd_chain": lambda d, x: detect_odd_chain(d, 0, x),
+    "arc_disjoint_path_pair": lambda d, x: arc_disjoint_path_pair(d, 0, 1, 2, x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_share_one_input_check(entry):
+    call = ENTRY_POINTS[entry]
+    with pytest.raises(NotSemicomplete, match=r"^vertices 0 and 2 are not adjacent$"):
+        call(Digraph.from_arcs(3, [(0, 1), (1, 2)]), 2)
+    for x in (-1, K3.n):
+        if entry == "extend_trees_across_cut":  # sides are checked, not vertex ids
+            expected = PreconditionViolated, r"^the sides must partition the vertex set$"
+        else:
+            expected = BadEndpoints, rf"^vertex {x} out of range$"
+        with pytest.raises(expected[0], match=expected[1]):
+            call(K3, x)

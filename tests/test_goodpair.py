@@ -175,7 +175,7 @@ def test_same_root_structure_on_c3():
 def test_search_budget_exhaustion_is_loud(monkeypatch):
     d = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)])
     assert_good_pair(d, 0, 2, construct_good_pair(d, 0, 2))
-    monkeypatch.setenv("BRANCHPAIRS_SEARCH_BUDGET", "1")
+    monkeypatch.setattr(branchpairs.structures, "_SEARCH_BUDGET", 1)
     with pytest.raises(InternalInconsistency):
         construct_good_pair(d, 0, 2)
 
@@ -227,16 +227,24 @@ def test_chain22_has_a_shared_root_pair_at_13():
 @pytest.mark.xfail(strict=True, raises=InternalInconsistency,
                    reason="the construction search exhausts its budget")
 def test_construct_on_chain22_with_shared_root(monkeypatch):
-    monkeypatch.setenv("BRANCHPAIRS_SEARCH_BUDGET", "20000")
+    monkeypatch.setattr(branchpairs.structures, "_SEARCH_BUDGET", 20000)
     assert_good_pair(_chain22(), 13, 13, construct_good_pair(_chain22(), 13, 13))
 
 
 @pytest.mark.xfail(strict=True, raises=InternalInconsistency,
                    reason="the construction search exhausts its budget")
 def test_construct_on_known_fault(monkeypatch):
-    monkeypatch.setenv("BRANCHPAIRS_SEARCH_BUDGET", "20000")
+    monkeypatch.setattr(branchpairs.structures, "_SEARCH_BUDGET", 20000)
     assert decide_good_pair(KNOWN_FAULT, 4, 7) is None
-    assert_good_pair(KNOWN_FAULT, 4, 7, construct_good_pair(KNOWN_FAULT, 4, 7))
+    try:
+        pair = construct_good_pair(KNOWN_FAULT, 4, 7)
+    except InternalInconsistency as exc:
+        # The benchmark counts this query as its known fault only by this text.
+        assert f"{type(exc).__name__}: {exc}" == (
+            "InternalInconsistency: pair search exhausted its budget"
+        )
+        raise
+    assert_good_pair(KNOWN_FAULT, 4, 7, pair)
 
 
 def test_verify_good_pair_rejections():

@@ -5,9 +5,11 @@ import itertools
 import pytest
 
 from branchpairs import (
+    ChainObstruction,
     ConsecutiveSingletons,
     Digraph,
     NoBasePath,
+    TypeCertificate,
     TypedObstruction,
     arc_disjoint_path_pair,
     detect_obstruction_type,
@@ -16,6 +18,7 @@ from branchpairs import (
     fixture,
     oracle_path_pair,
     relabel_type_certificate,
+    verify_certificate,
     verify_type_certificate,
 )
 from branchpairs.structures import verify_path_pair_obstruction
@@ -72,6 +75,18 @@ def test_verify_rejects_tampered_certificates():
     swapped = relabel_type_certificate(cert, {0: 1, 1: 0, 2: 2})
     ok, reason = verify_type_certificate(C3, swapped)
     assert not ok and isinstance(reason, str)
+
+
+@pytest.mark.parametrize("vertex", [-1, CHAIN4.n])
+def test_verify_rejects_out_of_range_part_vertices(vertex):
+    # the range is checked before any vertex id becomes a shift count
+    cert = TypeCertificate(
+        kind="chain", parts=((0,), (1,), (2,), (vertex,)), back_arcs=((2, 0), (3, 1)),
+        u=3, w=2, v=1,
+    )
+    reason = "part 4 contains an out-of-range vertex"
+    assert verify_type_certificate(CHAIN4, cert) == (False, reason)
+    assert verify_certificate(CHAIN4, 3, 1, ChainObstruction(cert)) == (False, reason)
 
 
 def test_relabel_round_trip():
