@@ -18,6 +18,7 @@ from .digraph import (
     ArcPath,
     Digraph,
     _bits,
+    _check_instance,
     _mask,
     _max_flow,
     _reach,
@@ -280,15 +281,12 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
         ConsecutiveSingletons,
         TypeCertificate,
         TypedObstruction,
+        _verify_type_certificate,
         arc_disjoint_path_pair,
-        relabel_type_certificate,
-        verify_type_certificate,
     )
 
+    _check_instance(digraph, u, w, v)
     n = digraph.n
-    for vertex in (u, w, v):
-        if not 0 <= vertex < n:
-            raise BadEndpoints(f"vertex {vertex} out of range")
     out_set, _ = terminal_initial_sets(digraph)
     if u not in out_set:
         raise PreconditionViolated(f"no out-branching can be rooted at {u}")
@@ -297,8 +295,9 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
     full = (1 << n) - 1
 
     def _type_a(part1, part2) -> TypeCertificate:
-        host = sorted(part1) + sorted(part2)
-        arc = _unique_entering_arc(digraph, _mask(part1), _mask(host))
+        """The two-part certificate for (u, w, v) on D⟨part1 ∪ part2⟩."""
+        host = _mask(part1) | _mask(part2)
+        arc = _unique_entering_arc(digraph, _mask(part1), host)
         cert = TypeCertificate(
             kind="A",
             parts=(tuple(sorted(part1)), tuple(sorted(part2))),
@@ -307,21 +306,10 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
             w=w,
             v=v,
         )
-        _check_certificate(digraph, cert)
-        return cert
-
-    def _check_certificate(host: Digraph, cert: TypeCertificate) -> None:
-        covered = sorted(q for part in cert.parts for q in part)
-        if len(covered) == host.n:
-            ok, reason = verify_type_certificate(host, cert)
-        else:
-            sub, verts = host.induced(covered)
-            pos = {orig: i for i, orig in enumerate(verts)}
-            ok, reason = verify_type_certificate(
-                sub, relabel_type_certificate(cert, pos)
-            )
+        ok, reason = _verify_type_certificate(digraph, cert, host)
         if not ok:
             raise InternalInconsistency(f"built an invalid certificate: {reason}")
+        return cert
 
     if w == v:
         branching = bfs_tree(digraph, u, "out")
@@ -343,61 +331,30 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
             return _type_a(x_set, [q for q in range(n) if q not in x_set])
         x_tail, y_head = _unique_entering_arc(digraph, x_mask, full)
         # Two arc-disjoint paths from u to {x_tail, v} inside D minus X.  A
-        # super-sink absorbs one unit from each target; when the targets
+        # super-sink at n absorbs one unit from each target; when the targets
         # coincide we ask for two arc-disjoint (u, x_tail)-paths directly.
-        outside = [q for q in range(n) if not (x_mask >> q & 1)]
-        pos = {q: i for i, q in enumerate(outside)}
-        tau = len(outside)
-        flow_masks = []
-        for q in outside:
-            mask = 0
-            for r in _bits(digraph.out_mask(q) & ~x_mask):
-                mask |= 1 << pos[r]
-            flow_masks.append(mask)
+        flow = [0 if x_mask >> q & 1 else mask & ~x_mask
+                for q, mask in enumerate(digraph.out_masks())]
         if v == x_tail:
-            helper = Digraph(tau, flow_masks)
-            value, fwd, back = _max_flow(flow_masks, tau, 1 << pos[u], pos[v], 2)
+            sink = v
         else:
-            flow_masks.append(0)
-            flow_masks[pos[x_tail]] |= 1 << tau
-            flow_masks[pos[v]] |= 1 << tau
-            helper = Digraph(tau + 1, flow_masks)
-            value, fwd, back = _max_flow(flow_masks, tau + 1, 1 << pos[u], tau, 2)
+            sink = n
+            flow.append(0)
+            flow[x_tail] |= 1 << n
+            flow[v] |= 1 << n
+        value, fwd, back = _max_flow(flow, len(flow), 1 << u, sink, 2)
         if value == 2:
-            if v == x_tail:
-                paths = arc_disjoint_paths(helper, pos[u], pos[v], 2)
-                lifted = [tuple(outside[q] for q in p.vertices) for p in paths]
-            else:
-                paths = arc_disjoint_paths(helper, pos[u], tau, 2)
-                lifted = [tuple(outside[q] for q in p.vertices[:-1]) for p in paths]
-            path_ux = next((p for p in lifted if p[-1] == x_tail), None)
-            path_uv = next(
-                (p for p in lifted if p[-1] == v and p is not path_ux), None
-            )
+            helper = Digraph(len(flow), flow)
+            paths = [p.vertices for p in arc_disjoint_paths(helper, u, sink, 2)]
+            if sink == n:
+                paths = [p[:-1] for p in paths]
+            path_ux = next((p for p in paths if p[-1] == x_tail), None)
+            path_uv = next((p for p in paths if p[-1] == v and p is not path_ux), None)
             if path_ux is None or path_uv is None:
                 raise InternalInconsistency("flow decomposition lost a target")
-            parent: dict[int, int] = {}
-            for a, b in zip(path_ux, path_ux[1:]):
-                parent[b] = a
-            parent[y_head] = x_tail
-            subtree = bfs_tree(digraph, y_head, "out", within=x_set)
-            if subtree.covered() != frozenset(x_set):
-                raise InternalInconsistency("cut head does not span the deficient set")
-            parent.update(subtree.parent)
-            on_path = set(path_ux)
-            for q in outside:
-                if q not in on_path:
-                    parent[q] = y_head
-            branching = Tree("out", u, parent)
-            ok, reason = branching.validate(digraph, within=range(n))
-            if not ok:
-                raise InternalInconsistency(f"assembled branching invalid: {reason}")
-            return branching, ArcPath(path_uv)
-        if v == x_tail:
-            sink_side = _residual_sink_side(fwd, back, tau, pos[v])
-        else:
-            sink_side = _residual_sink_side(fwd, back, tau + 1, tau)
-        u_side = [outside[i] for i in range(tau) if not (sink_side >> i & 1)]
+            return _branching_into(digraph, path_ux + (y_head,), x_set), ArcPath(path_uv)
+        sink_side = _residual_sink_side(fwd, back, len(flow), sink)
+        u_side = [q for q in _bits(full & ~x_mask) if not (sink_side >> q & 1)]
         if u not in u_side or v in u_side:
             raise InternalInconsistency("flow cut does not separate u from v")
         return _type_a([q for q in range(n) if q not in u_side], u_side)
@@ -430,25 +387,11 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
         # D itself: X dominates the rest, and (w,v)-paths stay outside X.
         if v in x_set:
             raise InternalInconsistency("(w,v)-path exists but v sits in a closed set")
-        subtree = bfs_tree(digraph, u, "out", within=x_set)
-        if subtree.covered() != frozenset(x_set):
-            raise InternalInconsistency("u does not span its closed set")
-        parent = dict(subtree.parent)
-        for q in range(n):
-            if not (x_mask >> q & 1):
-                parent[q] = u
-        branching = Tree("out", u, parent)
-        ok, reason = branching.validate(digraph, within=range(n))
-        if not ok:
-            raise InternalInconsistency(f"assembled branching invalid: {reason}")
-        rest = [q for q in range(n) if not (x_mask >> q & 1)]
-        sub, verts = digraph.induced(rest)
-        pos = {orig: i for i, orig in enumerate(verts)}
-        inner = bfs_tree(sub, pos[w], "out")
-        if pos[v] not in inner.covered():
+        branching = _branching_into(digraph, (u,), x_set)
+        inner = bfs_tree(digraph, w, "out", within=_bits(full & ~x_mask))
+        if v not in inner.covered():
             raise InternalInconsistency("(w,v)-path vanished outside the closed set")
-        path = tuple(verts[q] for q in inner.spine(pos[v]).vertices)
-        return branching, ArcPath(path)
+        return branching, inner.spine(v)
     x_tail, y_head = _unique_entering_arc(aux, x_mask, (1 << aux.n) - 1)  # aux root ∉ X
     outcome = arc_disjoint_path_pair(digraph, u, y_head, w, v)
     if isinstance(outcome, tuple):
@@ -457,22 +400,7 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
             raise InternalInconsistency("(u,y)-path enters the tight set irregularly")
         if _mask(path_wv.vertices) & x_mask:
             raise InternalInconsistency("(w,v)-path crosses the tight set")
-        parent = {}
-        for a, b in path_uy.arcs():
-            parent[b] = a
-        subtree = bfs_tree(digraph, y_head, "out", within=x_set)
-        if subtree.covered() != frozenset(x_set):
-            raise InternalInconsistency("cut head does not span the tight set")
-        parent.update(subtree.parent)
-        on_path = set(path_uy.vertices)
-        for q in range(n):
-            if not (x_mask >> q & 1) and q not in on_path:
-                parent[q] = y_head
-        branching = Tree("out", u, parent)
-        ok, reason = branching.validate(digraph, within=range(n))
-        if not ok:
-            raise InternalInconsistency(f"assembled branching invalid: {reason}")
-        return branching, path_wv
+        return _branching_into(digraph, path_uy.vertices, x_set), path_wv
     if isinstance(outcome, ConsecutiveSingletons):
         raise InternalInconsistency("singleton obstruction requires equal sources")
     assert isinstance(outcome, TypedObstruction)
@@ -484,19 +412,30 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
     # Mirrored roles: v lands in the receiving part V1, whose in-degree is one
     # for every kind, so the partition collapses to a type-A certificate for
     # (u, w, v) on the same strong component.
-    part1 = cert.parts[0]
-    component = sorted(q for part in cert.parts for q in part)
-    part2 = tuple(q for q in component if q not in set(part1))
-    arc = _unique_entering_arc(digraph, _mask(part1), _mask(component))
-    collapsed = TypeCertificate(
-        kind="A", parts=(tuple(sorted(part1)), part2), back_arcs=(arc,), u=u, w=w, v=v
-    )
-    sub, verts = digraph.induced(component)
-    pos = {orig: i for i, orig in enumerate(verts)}
-    ok, reason = verify_type_certificate(sub, relabel_type_certificate(collapsed, pos))
+    return _type_a(cert.parts[0], [q for part in cert.parts[1:] for q in part])
+
+
+def _branching_into(digraph: Digraph, path, x_set) -> Tree:
+    """Out-branching rooted at the start of `path`: the path, a breadth-first
+    tree of `x_set` from the path's end, and an arc from that end to every
+    vertex still uncovered.  The end is the only vertex of `x_set` on the
+    path, and the path's last arc is the only arc entering `x_set` (or, for
+    a one-vertex path, no arc enters it), so in a semicomplete digraph the
+    end dominates every vertex outside `x_set`."""
+    head = path[-1]
+    parent = dict(zip(path[1:], path))
+    subtree = bfs_tree(digraph, head, "out", within=x_set)
+    if subtree.covered() != frozenset(x_set):
+        raise InternalInconsistency("path end does not span its set")
+    parent.update(subtree.parent)
+    for q in range(digraph.n):
+        if q != path[0]:
+            parent.setdefault(q, head)
+    branching = Tree("out", path[0], parent)
+    ok, reason = branching.validate(digraph, within=range(digraph.n))
     if not ok:
-        raise InternalInconsistency(f"collapsed certificate invalid: {reason}")
-    return collapsed
+        raise InternalInconsistency(f"assembled branching invalid: {reason}")
+    return branching
 
 
 def _unique_entering_arc(

@@ -283,13 +283,16 @@ class StrongDecomposition:
 def validate_semicomplete(digraph: Digraph) -> tuple[int, int] | None:
     """Return None if every vertex pair is adjacent, otherwise the
     lexicographically first non-adjacent pair."""
-    n = digraph.n
-    for a in range(n):
-        adjacency = digraph.out_mask(a) | digraph.in_mask(a)
-        missing = ~adjacency & ~((1 << (a + 1)) - 1) & ((1 << n) - 1)
-        if missing:
-            b = (missing & -missing).bit_length() - 1
-            return (a, b)
+    return _non_adjacent_pair(digraph, (1 << digraph.n) - 1)
+
+
+def _non_adjacent_pair(digraph: Digraph, vmask: int) -> tuple[int, int] | None:
+    """`validate_semicomplete` of the sub-digraph induced by `vmask`."""
+    for a in range(digraph.n):
+        if vmask >> a & 1:
+            missing = vmask & ~(digraph._out[a] | digraph._in[a]) & ~((2 << a) - 1)
+            if missing:
+                return (a, (missing & -missing).bit_length() - 1)
     return None
 
 

@@ -35,7 +35,7 @@ from .digraph import (
 )
 from .errors import InternalInconsistency, NotStrong, PreconditionViolated
 from .fixtures import exception_catalog
-from .hamilton import _hamiltonian_cycle, _rotate, hamiltonian_path_from
+from .hamilton import _chain_components, _hamiltonian_cycle, _rotate
 from .structures import TypeCertificate, detect_odd_chain, verify_type_certificate
 
 
@@ -960,10 +960,13 @@ def _cut_arc_pair(
         return _search_pair(digraph, u, v)
     local_tree, local_path = outcome
     t_out = Tree("out", u, {ids[c]: ids[p] for c, p in local_tree.parent.items()})
-    sub_y, ids_y = digraph.induced(y_side)
-    pos_y = {orig: local for local, orig in enumerate(ids_y)}
-    feed = hamiltonian_path_from(sub_y, pos_y[tail], "end")
-    parent = {ids_y[c]: ids_y[p] for c, p in feed.arcs()}
+    # The components of D⟨Y⟩ are the reduced ones from `split` on; chained
+    # in the reverse digraph from `tail`, they give a spanning path of D⟨Y⟩
+    # that ends at `tail`.
+    feed = _chain_components(
+        digraph.reverse(), reduced.components[: split - 1 : -1], tail
+    ).vertices[::-1]
+    parent = dict(zip(feed, feed[1:]))
     parent[tail] = head
     for c, p in local_path.arcs():
         parent[ids[c]] = ids[p]

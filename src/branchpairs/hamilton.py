@@ -13,9 +13,9 @@ from __future__ import annotations
 from .digraph import (
     ArcPath,
     Digraph,
-    StrongDecomposition,
     _bits,
     _check_instance,
+    _mask,
     strong_decomposition,
 )
 from .errors import BadEndpoints, InternalInconsistency, NoPath, NotStrong
@@ -47,13 +47,17 @@ def hamiltonian_cycle(digraph: Digraph) -> ArcPath:
     return _hamiltonian_cycle(digraph)
 
 
-def _hamiltonian_cycle(digraph: Digraph) -> ArcPath:
-    """`hamiltonian_cycle` without its input checks, for callers that already
-    know the digraph to be strong, semicomplete and of order two or more.
-    The result is still verified."""
-    n = digraph.n
-    cycle = _initial_cycle(digraph)
-    outside = sorted(set(range(n)) - set(cycle))
+def _hamiltonian_cycle(digraph: Digraph, within: int | None = None) -> ArcPath:
+    """`hamiltonian_cycle` of D⟨within⟩ (the whole digraph when `within` is
+    None) without the input checks, for callers that already know that
+    subdigraph to be strong, semicomplete and of order two or more.  The
+    result is still verified."""
+    if within is None:  # a range, as a bit scan of a wide mask is slow
+        within, vertices = (1 << digraph.n) - 1, range(digraph.n)
+    else:
+        vertices = list(_bits(within))
+    cycle = _initial_cycle(digraph, vertices, within)
+    outside = [q for q in vertices if q not in cycle]
     while outside:
         inserted = False
         for w in outside:
@@ -87,46 +91,49 @@ def _hamiltonian_cycle(digraph: Digraph) -> ArcPath:
     result = ArcPath(tuple(cycle))
     if not result.in_digraph(digraph) or not digraph.has_arc(cycle[-1], cycle[0]):
         raise InternalInconsistency("constructed cycle failed verification")
-    if len(cycle) != n:
+    if len(cycle) != within.bit_count():
         raise InternalInconsistency("constructed cycle is not spanning")
     return result
 
 
-def _initial_cycle(digraph: Digraph) -> list[int]:
-    """A 2-cycle (first digon in ascending pair order) or a triangle through
-    vertex 0 (which exists in a strong digon-free semicomplete digraph)."""
-    for a in range(digraph.n):
-        later = (digraph.out_mask(a) & digraph.in_mask(a)) >> (a + 1)
+def _initial_cycle(digraph: Digraph, vertices, within: int) -> list[int]:
+    """A 2-cycle of D⟨within⟩ (first digon in ascending pair order) or a
+    triangle through its lowest vertex (which exists in a strong digon-free
+    semicomplete digraph); `vertices` lists `within` in ascending order."""
+    out, ins = digraph.out_masks(), digraph.in_masks()
+    for a in vertices:
+        later = (out[a] & ins[a] & within) >> (a + 1)
         if later:
             return [a, a + (later & -later).bit_length()]
-    for x in _bits(digraph.out_mask(0)):
-        for y in _bits(digraph.in_mask(0)):
+    low = vertices[0]
+    for x in _bits(out[low] & within):
+        for y in _bits(ins[low] & within):
             if digraph.has_arc(x, y):
-                return [0, x, y]
+                return [low, x, y]
     raise InternalInconsistency("no starting cycle in a strong semicomplete digraph")
 
 
 def _component_path(digraph: Digraph, component: tuple[int, ...], first=None, last=None):
-    """Hamiltonian path of one strong component (original vertex ids),
-    optionally starting at `first` or ending at `last` (not both)."""
+    """Hamiltonian path of one strong component, optionally starting at
+    `first` or ending at `last` (not both)."""
     if len(component) == 1:
         return list(component)
-    sub, ids = digraph.induced(component)
-    cycle = [ids[q] for q in _hamiltonian_cycle(sub).vertices]
+    cycle = list(_hamiltonian_cycle(digraph, _mask(component)).vertices)
     if first is None and last is None:
         return cycle
     return _rotate(cycle, first, last)
 
 
 def _chain_components(
-    digraph: Digraph, dec: StrongDecomposition, first: int, last: int | None = None
+    digraph: Digraph, components, first: int, last: int | None = None
 ) -> ArcPath:
-    """Spanning path through the strong components in their acyclic order,
-    starting at `first` in the initial one and, when given, ending at `last`
-    in the terminal one; verified before it is returned."""
-    final = len(dec.components) - 1
+    """Spanning path of the subdigraph induced by `components`, strong
+    components listed in their acyclic order, starting at `first` in the
+    initial one and, when given, ending at `last` in the terminal one;
+    verified before it is returned."""
+    final = len(components) - 1
     sequence: list[int] = []
-    for index, component in enumerate(dec.components):
+    for index, component in enumerate(components):
         sequence.extend(
             _component_path(
                 digraph,
@@ -136,7 +143,7 @@ def _chain_components(
             )
         )
     path = ArcPath(tuple(sequence))
-    if len(sequence) != digraph.n or not path.in_digraph(digraph):
+    if len(sequence) != sum(map(len, components)) or not path.in_digraph(digraph):
         raise NoPath("assembled spanning path failed verification")
     return path
 
@@ -159,15 +166,13 @@ def hamiltonian_path_from(digraph: Digraph, x: int, direction: str = "start") ->
         raise NotStrong(
             "a spanning path from x needs x in the initial strong component"
         )
-    return _chain_components(digraph, dec, x)
+    return _chain_components(digraph, dec.components, x)
 
 
 def hamiltonian_path_between(digraph: Digraph, x: int, y: int) -> ArcPath:
     """Hamiltonian (x,y)-path in a non-strong semicomplete digraph, for x in
     the initial and y in the terminal strong component."""
-    _check_instance(digraph)
-    if not (0 <= x < digraph.n and 0 <= y < digraph.n):
-        raise BadEndpoints("endpoint out of range")
+    _check_instance(digraph, x, y)
     dec = strong_decomposition(digraph)
     if dec.is_strong:
         raise BadEndpoints("digraph is strong; use hamiltonian_path_from instead")
@@ -175,4 +180,4 @@ def hamiltonian_path_between(digraph: Digraph, x: int, y: int) -> ArcPath:
         raise BadEndpoints("x must lie in the initial strong component")
     if y not in dec.components[-1]:
         raise BadEndpoints("y must lie in the terminal strong component")
-    return _chain_components(digraph, dec, x, y)
+    return _chain_components(digraph, dec.components, x, y)

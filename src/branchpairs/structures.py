@@ -21,9 +21,9 @@ from .digraph import (
     _check_instance,
     _mask,
     _masked_components,
+    _non_adjacent_pair,
     _reach,
     strong_decomposition,
-    validate_semicomplete,
 )
 from .errors import InternalInconsistency, NoBasePath
 
@@ -100,15 +100,27 @@ def verify_type_certificate(
 ) -> tuple[bool, str | None]:
     """True iff the certificate's every clause holds in `digraph`; otherwise
     False with the first violated clause spelled out."""
-    n = digraph.n
-    bad = validate_semicomplete(digraph)
+    return _verify_type_certificate(digraph, cert, (1 << digraph.n) - 1)
+
+
+def _verify_type_certificate(
+    digraph: Digraph, cert: TypeCertificate, host: int
+) -> tuple[bool, str | None]:
+    """`verify_type_certificate` on D⟨host⟩, the sub-digraph induced by the
+    vertex mask `host`, in the digraph's own vertex ids: a vertex outside
+    `host` counts as out of range and arcs leaving `host` are ignored."""
+
+    def inside(q: int) -> bool:
+        return 0 <= q and bool(host >> q & 1)
+
+    bad = _non_adjacent_pair(digraph, host)
     if bad is not None:
         return False, f"digraph is not semicomplete: {bad[0]} and {bad[1]} non-adjacent"
     if cert.kind not in ("A", "B", "chain"):
         return False, f"unknown kind {cert.kind!r}"
     parts = cert.parts
     length = len(parts)
-    expected = {"A": (2, 2), "B": (3, 3), "chain": (4, n)}[cert.kind]
+    expected = {"A": (2, 2), "B": (3, 3), "chain": (4, host.bit_count())}[cert.kind]
     if not expected[0] <= length <= expected[1]:
         return False, f"kind {cert.kind} cannot have {length} parts"
     seen = 0
@@ -117,18 +129,18 @@ def verify_type_certificate(
             return False, f"part {i + 1} is empty"
         if len(set(part)) != len(part):
             return False, f"part {i + 1} repeats a vertex"
-        if not all(0 <= q < n for q in part):
+        if not all(map(inside, part)):
             return False, f"part {i + 1} contains an out-of-range vertex"
         pm = _mask(part)
         if pm & seen:
             return False, f"part {i + 1} overlaps an earlier part"
         seen |= pm
-    if seen != (1 << n) - 1:
+    if seen != host:
         return False, "parts do not cover the vertex set"
     for name, role in (("u", cert.u), ("w", cert.w), ("v", cert.v)):
-        if not 0 <= role < n:
+        if not inside(role):
             return False, f"role {name} out of range"
-    part_index = [0] * n
+    part_index = [0] * digraph.n
     for i, part in enumerate(parts):
         for q in part:
             part_index[q] = i
@@ -166,7 +178,7 @@ def verify_type_certificate(
     if len(set(cert.back_arcs)) != len(cert.back_arcs):
         return False, "back arcs repeat"
     for k, (tail, head) in enumerate(cert.back_arcs):
-        if not (0 <= tail < n and 0 <= head < n):
+        if not (inside(tail) and inside(head)):
             return False, f"back arc {k + 1} out of range"
         if not digraph.has_arc(tail, head):
             return False, f"listed back arc ({tail},{head}) is not an arc"
@@ -179,22 +191,23 @@ def verify_type_certificate(
             )
         if cert.kind != "A":
             out = digraph.out_masks()
-            src_comps = _masked_components(n, out, _mask(parts[src]))
+            src_comps = _masked_components(digraph.n, out, _mask(parts[src]))
             if not src_comps[-1] >> tail & 1:
                 return False, (
                     f"tail of back arc ({tail},{head}) must lie in the "
                     f"terminal component of part {src + 1}"
                 )
-            dst_comps = _masked_components(n, out, _mask(parts[dst]))
+            dst_comps = _masked_components(digraph.n, out, _mask(parts[dst]))
             if not dst_comps[0] >> head & 1:
                 return False, (
                     f"head of back arc ({tail},{head}) must lie in the "
                     f"initial component of part {dst + 1}"
                 )
     listed = set(cert.back_arcs)
-    for tail, head in digraph.arcs():
-        if part_index[tail] > part_index[head] and (tail, head) not in listed:
-            return False, f"unlisted backward arc ({tail},{head})"
+    for tail in _bits(host):
+        for head in _bits(digraph.out_mask(tail) & host):
+            if part_index[tail] > part_index[head] and (tail, head) not in listed:
+                return False, f"unlisted backward arc ({tail},{head})"
     return True, None
 
 
@@ -202,6 +215,7 @@ def verify_path_pair_obstruction(
     digraph: Digraph, x1: int, y1: int, x2: int, y2: int, obstruction
 ) -> tuple[bool, str | None]:
     """Re-check an arc_disjoint_path_pair NO answer from scratch."""
+    _check_instance(digraph, x1, y1, x2, y2)
     if isinstance(obstruction, ConsecutiveSingletons):
         if x1 != x2 or y1 != y2:
             return False, "singleton obstruction needs equal sources and targets"
@@ -225,11 +239,7 @@ def verify_path_pair_obstruction(
         covered = tuple(sorted(q for part in cert.parts for q in part))
         if covered != dec.components[home]:
             return False, "certificate does not cover the endpoints' component"
-        sub, ids = digraph.induced(dec.components[home])
-        pos = {orig: local for local, orig in enumerate(ids)}
-        ok, reason = verify_type_certificate(
-            sub, relabel_type_certificate(cert, pos)
-        )
+        ok, reason = _verify_type_certificate(digraph, cert, dec.mask_of(home))
         if not ok:
             return False, reason
         target = obstruction.offending_target
@@ -256,7 +266,9 @@ def detect_obstruction_type(
     Soundness is unconditional (every candidate is verified before return);
     completeness comes from the peeling argument.
     """
-    return _detect(digraph, u, w, v, required=None, odd_only=False)
+    _check_instance(digraph, u, w, v)
+    full = (1 << digraph.n) - 1
+    return _detect(digraph, u, w, v, required=None, odd_only=False, host=full)
 
 
 def detect_odd_chain(digraph: Digraph, u: int, v: int) -> TypeCertificate | None:
@@ -267,7 +279,9 @@ def detect_odd_chain(digraph: Digraph, u: int, v: int) -> TypeCertificate | None
     This is the placement whose presence rules out an arc-disjoint
     out-branching rooted at u and in-branching rooted at v.
     """
-    return _detect(digraph, u, None, v, required=None, odd_only=True)
+    _check_instance(digraph, u, v)
+    full = (1 << digraph.n) - 1
+    return _detect(digraph, u, None, v, required=None, odd_only=True, host=full)
 
 
 def _detect(
@@ -277,33 +291,34 @@ def _detect(
     v: int,
     required: int | None,
     odd_only: bool,
+    host: int,
 ) -> TypeCertificate | None:
-    _check_instance(digraph, u, w, v, required)
-    if digraph.n < 2:
+    """Detection inside D⟨host⟩, the sub-digraph induced by the vertex mask
+    `host`, which holds every role; certificates come in the digraph's own
+    vertex ids and partition `host`."""
+    if host.bit_count() < 2:
         return None
     if not odd_only:
-        cert = _scan_type_a(digraph, u, w, v, required)
+        cert = _scan_type_a(digraph, u, w, v, required, host)
         if cert is not None:
             return cert
-    return _layer_search(digraph, u, w, v, required, odd_only)
+    return _layer_search(digraph, u, w, v, required, odd_only, host)
 
 
 def _scan_type_a(
-    digraph: Digraph, u: int, w: int | None, v: int, required: int | None
+    digraph: Digraph, u: int, w: int | None, v: int, required: int | None, host: int
 ) -> TypeCertificate | None:
-    """Two-part structures: part 2 must contain u, w and the back arc's tail
-    and be closed once that arc is removed, with v (and the required vertex)
-    left outside.  The reachability closure of {u, w, tail} is the minimal
-    candidate, and any valid part 2 contains it, so testing the closure per
-    arc is a complete scan."""
-    n = digraph.n
-    full = (1 << n) - 1
-    out = list(digraph.out_masks())
+    """Two-part structures of D⟨host⟩: part 2 must contain u, w and the back
+    arc's tail and be closed once that arc is removed, with v (and the
+    required vertex) left outside.  The reachability closure of {u, w, tail}
+    is the minimal candidate, and any valid part 2 contains it, so testing
+    the closure per arc is a complete scan."""
+    out = [mask & host for mask in digraph.out_masks()]
     seeds = (1 << u) | (0 if w is None else 1 << w)
     forbidden_base = 1 << v
     if required is not None:
         forbidden_base |= 1 << required
-    for tail, head in digraph.arcs():
+    for tail, head in [(t, h) for t in _bits(host) for h in _bits(out[t])]:
         saved = out[tail]
         out[tail] = saved & ~(1 << head)
         closure = _reach(out, seeds | (1 << tail))
@@ -311,7 +326,7 @@ def _scan_type_a(
         if closure & (forbidden_base | (1 << head)):
             continue
         part2 = tuple(_bits(closure))
-        part1 = tuple(_bits(full & ~closure))
+        part1 = tuple(_bits(host & ~closure))
         cert = TypeCertificate(
             kind="A",
             parts=(part1, part2),
@@ -320,7 +335,7 @@ def _scan_type_a(
             w=u if w is None else w,
             v=v,
         )
-        ok, reason = verify_type_certificate(digraph, cert)
+        ok, reason = _verify_type_certificate(digraph, cert, host)
         if not ok:
             raise InternalInconsistency(f"two-part scan built a bad certificate: {reason}")
         return cert
@@ -334,8 +349,9 @@ def _layer_search(
     v: int,
     required: int | None,
     odd_only: bool,
+    host: int,
 ) -> TypeCertificate | None:
-    """Bottom-up search for B/chain structures.
+    """Bottom-up search for B/chain structures of D⟨host⟩.
 
     Levels are peeled lowest-first.  An interior part X of the remainder H
     has exactly one entering arc (t, h) inside D⟨H⟩ (its back arc), with h in
@@ -347,7 +363,6 @@ def _layer_search(
     n = digraph.n
     out = list(digraph.out_masks())
     ins = list(digraph.in_masks())
-    full = (1 << n) - 1
     ubit = 1 << u
     wbit = 0 if w is None else 1 << w
     vbit = 1 << v
@@ -489,7 +504,7 @@ def _layer_search(
                     w=w_final,
                     v=v,
                 )
-                ok, reason = verify_type_certificate(digraph, cert)
+                ok, reason = _verify_type_certificate(digraph, cert, host)
                 if not ok:
                     raise InternalInconsistency(
                         f"layer search built a bad certificate: {reason}"
@@ -529,8 +544,8 @@ def _layer_search(
         failed.add(key)
         return None
 
-    # Level 1 starts with the whole vertex set and no pending tails.
-    return rec(full, 1, None, None, [], [])
+    # Level 1 starts with the whole host and no pending tails.
+    return rec(host, 1, None, None, [], [])
 
 
 # --------------------------------------------------------------------------
@@ -587,14 +602,12 @@ def arc_disjoint_path_pair(
         # A typed structure can only block the pair when all four endpoints
         # share one strong component, and the structure lives on that
         # component's induced subdigraph, not on the whole digraph.
-        sub, ids = digraph.induced(dec.components[home])
-        pos = {orig: local for local, orig in enumerate(ids)}
         for xa, ya, xb, yb in ((x1, y1, x2, y2), (x2, y2, x1, y1)):
             cert = _detect(
-                sub, pos[xa], pos[xb], pos[yb], required=pos[ya], odd_only=False
+                digraph, xa, xb, yb, required=ya, odd_only=False, host=dec.mask_of(home)
             )
             if cert is not None:
-                return TypedObstruction(relabel_type_certificate(cert, ids), ya)
+                return TypedObstruction(cert, ya)
     pair = _search_paths(digraph, x1, y1, x2, y2)
     if pair is None:
         raise InternalInconsistency(

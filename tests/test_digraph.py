@@ -8,6 +8,7 @@ import pytest
 from branchpairs import (
     ArcPath,
     BadEndpoints,
+    ConsecutiveSingletons,
     Digraph,
     GoodPair,
     NotSemicomplete,
@@ -25,9 +26,11 @@ from branchpairs import (
     enumerate_semicomplete,
     extend_trees_across_cut,
     fixture,
+    hamiltonian_path_between,
     hamiltonian_path_from,
     is_k_arc_strong,
     local_arc_connectivity,
+    out_branching_vs_path,
     same_root_pair,
     small_isomorphism,
     strong_decomposition,
@@ -37,6 +40,7 @@ from branchpairs import (
     verify_good_pair,
 )
 from branchpairs.digraph import _bits, _breaking_arcs, _masked_components, _reach, is_tournament
+from branchpairs.structures import verify_path_pair_obstruction
 from conftest import strong_instances
 
 C3 = fixture("C3").digraph
@@ -345,6 +349,11 @@ ENTRY_POINTS = {
     "detect_obstruction_type": lambda d, x: detect_obstruction_type(d, 0, x, 1),
     "detect_odd_chain": lambda d, x: detect_odd_chain(d, 0, x),
     "arc_disjoint_path_pair": lambda d, x: arc_disjoint_path_pair(d, 0, 1, 2, x),
+    "verify_path_pair_obstruction": lambda d, x: verify_path_pair_obstruction(
+        d, 0, 1, 2, x, ConsecutiveSingletons(0, 1)
+    ),
+    "hamiltonian_path_between": lambda d, x: hamiltonian_path_between(d, 0, x),
+    "out_branching_vs_path": lambda d, x: out_branching_vs_path(d, 0, x, 1),
 }
 
 

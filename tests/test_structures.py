@@ -1,5 +1,6 @@
 """Layered-partition certificates and arc-disjoint path pairs."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -112,6 +113,35 @@ def test_path_pair_examples():
     assert typed.offending_target == 0
     ok, reason = verify_path_pair_obstruction(CHAIN4, 3, 0, 2, 1, typed)
     assert ok, reason
+
+
+def test_obstruction_verifier_names_the_callers_vertices():
+    # The obstruction lives on the strong component {1, 2, 3}; a reason must
+    # name the arc as the caller wrote it, not as a copy of that component
+    # relabelled from 0 would.
+    d = Digraph.from_arcs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])
+    typed = arc_disjoint_path_pair(d, 1, 2, 1, 2)
+    assert isinstance(typed, TypedObstruction)
+    assert typed.certificate.kind == "A"
+    assert typed.certificate.back_arcs == ((1, 2),)
+    swapped = TypedObstruction(
+        dataclasses.replace(typed.certificate, back_arcs=((2, 1),)), typed.offending_target
+    )
+    assert verify_path_pair_obstruction(d, 1, 2, 1, 2, swapped) == (
+        False, "listed back arc (2,1) is not an arc"
+    )
+
+
+def test_obstruction_verifier_rejects_vertices_outside_the_component():
+    d = Digraph.from_arcs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])
+    typed = arc_disjoint_path_pair(d, 1, 2, 1, 2)
+    cert = typed.certificate
+    for changed, reason in (
+        (dataclasses.replace(cert, u=0), "role u out of range"),
+        (dataclasses.replace(cert, back_arcs=((0, 2),)), "back arc 1 out of range"),
+    ):
+        got = verify_path_pair_obstruction(d, 1, 2, 1, 2, TypedObstruction(changed, 2))
+        assert got == (False, reason)
 
 
 def test_path_pair_requires_base_paths():
