@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from .digraph import (
     ArcPath,
     Digraph,
+    _bfs_parents,
     _bits,
     _check_instance,
+    _entering_arcs,
+    _flow_paths,
     _mask,
     _max_flow,
     _reach,
-    _residual_sink_side,
-    arc_disjoint_paths,
+    _transpose,
     terminal_initial_sets,
 )
 from .errors import BadEndpoints, InternalInconsistency, PreconditionViolated
@@ -140,19 +142,12 @@ class Tree:
         return f"Tree(kind={self.kind!r}, root={self.root}, arcs={self.arcs()})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GoodPair:
     """An out-branching and an in-branching sharing no arc."""
 
     out_branching: Tree
     in_branching: Tree
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GoodPair)
-            and self.out_branching == other.out_branching
-            and self.in_branching == other.in_branching
-        )
 
 
 @dataclass(frozen=True)
@@ -170,19 +165,15 @@ def bfs_tree(digraph: Digraph, root: int, kind: str, within=None) -> Tree:
     (for 'in') inside the restriction; callers check coverage."""
     allowed = (1 << digraph.n) - 1 if within is None else _mask(within)
     masks = digraph.out_masks() if kind == "out" else digraph.in_masks()
-    parent: dict[int, int] = {}
-    visited = 1 << root
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for vertex in frontier:
-            fresh = masks[vertex] & allowed & ~visited
-            visited |= fresh
-            for q in _bits(fresh):
-                parent[q] = vertex
-                nxt.append(q)
-        frontier = nxt
-    return Tree(kind, root, parent)
+    return Tree(kind, root, _bfs_parents(masks, root, allowed))
+
+
+def _spanning_tree(digraph: Digraph, root: int, kind: str, within) -> Tree:
+    """`bfs_tree` inside `within`, which the caller knows it spans."""
+    tree = bfs_tree(digraph, root, kind, within)
+    if tree.covered() != frozenset(within):
+        raise InternalInconsistency(f"{kind}-tree from {root} does not span its side")
+    return tree
 
 
 def edmonds_deficiency(digraph: Digraph, s: int, k: int) -> DeficientSet | None:
@@ -193,29 +184,26 @@ def edmonds_deficiency(digraph: Digraph, s: int, k: int) -> DeficientSet | None:
         raise BadEndpoints(f"root {s} out of range")
     if k <= 0:
         return None
+    deficient = _deficient_sink(digraph, 1 << s, k)
+    if deficient is None:
+        return None
+    t, value, fwd, back = deficient
+    side = _reach(_transpose(digraph.n, [f | b for f, b in zip(fwd, back)]), 1 << t)
+    return DeficientSet(tuple(_bits(side)), value)
+
+
+def _deficient_sink(digraph: Digraph, source_mask: int, k: int):
+    """The first vertex t outside `source_mask` with fewer than k arc-disjoint
+    paths from that set, as (t, value, fwd, back) of `_max_flow`, or None.
+    A set source stands for the set contracted into one vertex, parallel
+    arcs kept."""
     out = digraph.out_masks()
     n = digraph.n
-    for t in range(n):
-        if t == s:
-            continue
-        value, fwd, back = _max_flow(out, n, 1 << s, t, k)
+    for t in _bits(((1 << n) - 1) & ~source_mask):
+        value, fwd, back = _max_flow(out, n, source_mask, t, k)
         if value < k:
-            side = _residual_sink_side(fwd, back, n, t)
-            return DeficientSet(tuple(_bits(side)), value)
+            return t, value, fwd, back
     return None
-
-
-def _contracted_connectivity_ok(digraph: Digraph, w_mask: int, k: int) -> bool:
-    """λ(ŝ, q) ≥ k for every q outside w_mask after contracting w_mask into a
-    single source ŝ (parallel arcs kept, so a multi-source flow computes it)."""
-    out = digraph.out_masks()
-    n = digraph.n
-    rest = ((1 << n) - 1) & ~w_mask
-    for q in _bits(rest):
-        value, _, _ = _max_flow(out, n, w_mask, q, k)
-        if value < k:
-            return False
-    return True
 
 
 def two_arc_disjoint_out_branchings(
@@ -243,7 +231,7 @@ def two_arc_disjoint_out_branchings(
     while tree_mask != full:
         chosen = None
         for y in _bits(full & ~tree_mask):
-            if not _contracted_connectivity_ok(digraph, tree_mask | (1 << y), 2):
+            if _deficient_sink(digraph, tree_mask | (1 << y), 2) is not None:
                 continue
             tails = digraph.in_mask(y) & tree_mask
             for x in _bits(tails):
@@ -262,11 +250,10 @@ def two_arc_disjoint_out_branchings(
         tree = tree.add(y, x)
         tree_mask |= 1 << y
         used[x] |= 1 << y
-    second_masks = [out[q] & ~used[q] for q in range(n)]
-    second = bfs_tree(Digraph(n, second_masks), s, "out")
-    if second.covered() != frozenset(range(n)):
+    second = _bfs_parents([out[q] & ~used[q] for q in range(n)], s, full)
+    if len(second) != n - 1:
         raise InternalInconsistency("second branching incomplete despite invariant")
-    return tree, second
+    return tree, Tree("out", s, second)
 
 
 def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
@@ -277,7 +264,7 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
     certificate's parts cover the whole vertex set when u = w, and the initial
     strong component when u ≠ w.
     """
-    from .structures import (  # deferred: structures has no need of this module
+    from .structures import (  # deferred: structures imports this module
         ConsecutiveSingletons,
         TypeCertificate,
         TypedObstruction,
@@ -312,10 +299,7 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
         return cert
 
     if w == v:
-        branching = bfs_tree(digraph, u, "out")
-        if branching.covered() != frozenset(range(n)):
-            raise InternalInconsistency("root in Out(D) but BFS tree incomplete")
-        return branching, ArcPath((v,))
+        return _spanning_tree(digraph, u, "out", range(n)), ArcPath((v,))
 
     if u == w:
         result = two_arc_disjoint_out_branchings(digraph, u)
@@ -344,8 +328,8 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
             flow[v] |= 1 << n
         value, fwd, back = _max_flow(flow, len(flow), 1 << u, sink, 2)
         if value == 2:
-            helper = Digraph(len(flow), flow)
-            paths = [p.vertices for p in arc_disjoint_paths(helper, u, sink, 2)]
+            used = [mask & ~rest for mask, rest in zip(flow, fwd)]
+            paths = [p.vertices for p in _flow_paths(used, u, sink, 2)]
             if sink == n:
                 paths = [p[:-1] for p in paths]
             path_ux = next((p for p in paths if p[-1] == x_tail), None)
@@ -353,7 +337,8 @@ def out_branching_vs_path(digraph: Digraph, u: int, w: int, v: int):
             if path_ux is None or path_uv is None:
                 raise InternalInconsistency("flow decomposition lost a target")
             return _branching_into(digraph, path_ux + (y_head,), x_set), ArcPath(path_uv)
-        sink_side = _residual_sink_side(fwd, back, len(flow), sink)
+        residual = [f | b for f, b in zip(fwd, back)]
+        sink_side = _reach(_transpose(len(flow), residual), 1 << sink)
         u_side = [q for q in _bits(full & ~x_mask) if not (sink_side >> q & 1)]
         if u not in u_side or v in u_side:
             raise InternalInconsistency("flow cut does not separate u from v")
@@ -424,10 +409,7 @@ def _branching_into(digraph: Digraph, path, x_set) -> Tree:
     end dominates every vertex outside `x_set`."""
     head = path[-1]
     parent = dict(zip(path[1:], path))
-    subtree = bfs_tree(digraph, head, "out", within=x_set)
-    if subtree.covered() != frozenset(x_set):
-        raise InternalInconsistency("path end does not span its set")
-    parent.update(subtree.parent)
+    parent.update(_spanning_tree(digraph, head, "out", x_set).parent)
     for q in range(digraph.n):
         if q != path[0]:
             parent.setdefault(q, head)
@@ -443,10 +425,7 @@ def _unique_entering_arc(
 ) -> tuple[int, int]:
     """The single arc from host_mask∖part_mask into part_mask (asserts
     uniqueness)."""
-    entering = []
-    for head in _bits(part_mask):
-        for tail in _bits(digraph.in_mask(head) & host_mask & ~part_mask):
-            entering.append((tail, head))
+    entering = _entering_arcs(digraph, part_mask, host_mask)
     if len(entering) != 1:
         raise InternalInconsistency(
             f"expected exactly one entering arc, found {sorted(entering)}"

@@ -66,6 +66,32 @@ def _reach(out_masks: list[int], start_mask: int) -> int:
     return reached
 
 
+def _bfs_parents(masks, root: int, allowed: int) -> dict[int, int]:
+    """Breadth-first parent map from `root` along the rows `masks` (out- or
+    in-masks), visiting only vertices of the mask `allowed`.  Keys come in
+    discovery order, smaller ids first within each vertex's fresh set."""
+    parent: dict[int, int] = {}
+    visited = 1 << root
+    queue = [root]
+    for vertex in queue:
+        fresh = masks[vertex] & allowed & ~visited
+        visited |= fresh
+        for q in _bits(fresh):
+            parent[q] = vertex
+            queue.append(q)
+    return parent
+
+
+def _entering_arcs(digraph: Digraph, part: int, host: int) -> list[tuple[int, int]]:
+    """The arcs from `host` minus `part` into `part`, ordered by head, then
+    tail; the arcs leaving `part` are those entering it in the reverse."""
+    return [
+        (tail, head)
+        for head in _bits(part)
+        for tail in _bits(digraph._in[head] & host & ~part)
+    ]
+
+
 class Digraph:
     """Immutable simple digraph on vertices 0..n-1 (no loops, no parallel arcs;
     the two arcs of a digon are distinct).
@@ -195,17 +221,7 @@ class Digraph:
         if verts and not (0 <= verts[0] and verts[-1] < self.n):
             raise ValueError("induced vertex out of range")
         pos = {v: i for i, v in enumerate(verts)}
-        masks = []
-        for v in verts:
-            mask = 0
-            rem = self._out[v]
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                w = b.bit_length() - 1
-                if w in pos:
-                    mask |= 1 << pos[w]
-            masks.append(mask)
+        masks = [_mask(pos[w] for w in _bits(self._out[v]) if w in pos) for v in verts]
         return Digraph(len(verts), masks), tuple(verts)
 
     # -- protocol ----------------------------------------------------------
@@ -386,31 +402,15 @@ def strong_decomposition(digraph: Digraph) -> StrongDecomposition:
 
 
 def terminal_initial_sets(digraph: Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(Out, In): vertices that reach everything / are reached by everything.
-
-    For a semicomplete digraph these are exactly the initial and terminal
-    strong components.
-    """
+    """(Out, In): the vertices that reach every vertex and the vertices that
+    every vertex reaches.  In a semicomplete digraph these are exactly the
+    initial and the terminal strong component; any other input raises
+    NotSemicomplete, like every public entry point."""
+    _check_instance(digraph)
     if digraph.n == 0:
         return (), ()
     decomposition = strong_decomposition(digraph)
-    out_set = decomposition.initial
-    in_set = decomposition.terminal
-    # The component reading is only valid when initial/terminal components are
-    # unique "ends" of the condensation; semicomplete inputs guarantee it, and
-    # for anything else we fall back to the definition.
-    full = (1 << digraph.n) - 1
-    if _reach(list(digraph._out), _mask(out_set)) != full:
-        out_set = tuple(
-            v for v in range(digraph.n)
-            if _reach(list(digraph._out), 1 << v) == full
-        )
-    if _reach(list(digraph._in), _mask(in_set)) != full:
-        in_set = tuple(
-            v for v in range(digraph.n)
-            if _reach(list(digraph._in), 1 << v) == full
-        )
-    return out_set, in_set
+    return decomposition.initial, decomposition.terminal
 
 
 # -- unit-capacity flow ----------------------------------------------------
@@ -469,19 +469,6 @@ def _max_flow(out_masks: list[int], n: int, source_mask: int, sink: int,
     return value, fwd, back
 
 
-def _residual_sink_side(fwd: list[int], back: list[int], n: int, sink: int) -> int:
-    """Vertices that can reach `sink` in the residual graph (minimal sink-side
-    min cut)."""
-    rin = [0] * n
-    for v in range(n):
-        rem = fwd[v] | back[v]
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            rin[b.bit_length() - 1] |= 1 << v
-    return _reach(rin, 1 << sink)
-
-
 def local_arc_connectivity(digraph: Digraph, s: int, t: int, cap: int) -> int:
     """min(cap, λ(s,t)): maximum number of pairwise arc-disjoint (s,t)-paths."""
     if s == t:
@@ -491,12 +478,8 @@ def local_arc_connectivity(digraph: Digraph, s: int, t: int, cap: int) -> int:
 
 
 def arc_disjoint_paths(digraph: Digraph, s: int, t: int, k: int) -> list[ArcPath]:
-    """Up to k pairwise arc-disjoint (s,t)-paths (as many as exist, capped).
-
-    The flow's used arcs are decomposed by walking from s along the smallest
-    available used arc; any cycle met during a walk is spliced out, which keeps
-    every returned path simple without breaking arc-disjointness.
-    """
+    """Up to k pairwise arc-disjoint (s,t)-paths (as many as exist, capped),
+    read from one max-flow by `_flow_paths`."""
     if not (0 <= s < digraph.n and 0 <= t < digraph.n):
         raise BadEndpoints("endpoint out of range")
     if s == t:
@@ -504,7 +487,17 @@ def arc_disjoint_paths(digraph: Digraph, s: int, t: int, k: int) -> list[ArcPath
     if k < 0:
         raise ValueError("k must be non-negative")
     value, fwd, _ = _max_flow(list(digraph._out), digraph.n, 1 << s, t, k)
-    used = [digraph._out[v] & ~fwd[v] for v in range(digraph.n)]
+    return _flow_paths([mask & ~rest for mask, rest in zip(digraph._out, fwd)], s, t, value)
+
+
+def _flow_paths(used: list[int], s: int, t: int, value: int) -> list[ArcPath]:
+    """The `value` arc-disjoint (s,t)-paths of a flow of that value whose
+    used arcs are the rows `used` (which the walk consumes).
+
+    Each walk leaves s along the smallest available used arc; any cycle met
+    during a walk is spliced out, which keeps every path simple without
+    breaking arc-disjointness.
+    """
     paths = []
     for _ in range(value):
         seq = [s]
@@ -615,17 +608,9 @@ def small_isomorphism(
             sigma[v] = w
         for v, w in zip(free_src, perm):
             sigma[v] = w
-        ok = True
-        for v in range(n):
-            image_mask = 0
-            rem = digraph._out[v]
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                image_mask |= 1 << sigma[b.bit_length() - 1]
-            if image_mask != other._out[sigma[v]]:
-                ok = False
-                break
-        if ok:
+        if all(
+            _mask(sigma[w] for w in _bits(digraph._out[v])) == other._out[sigma[v]]
+            for v in range(n)
+        ):
             return tuple(sigma)
     return None

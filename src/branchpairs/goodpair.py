@@ -16,11 +16,10 @@ re-check both kinds of answer independently of how they were produced.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import structures
-from .branchings import GoodPair, Tree, bfs_tree, out_branching_vs_path
+from .branchings import GoodPair, Tree, _spanning_tree, bfs_tree, out_branching_vs_path
 from .digraph import (
     ArcPath,
     Digraph,
@@ -28,6 +27,7 @@ from .digraph import (
     _bits,
     _breaking_arcs,
     _check_instance,
+    _entering_arcs,
     _masked_components,
     _reach,
     small_isomorphism,
@@ -215,27 +215,33 @@ def verify_good_pair(
     """True iff the pair is a spanning out-branching rooted at u and a
     spanning in-branching rooted at v without a common arc."""
     _check_instance(digraph, u, v)
+    reason = _pair_problem(digraph, u, v, pair)
+    return reason is None, reason
+
+
+def _pair_problem(digraph: Digraph, u: int, v: int, pair: GoodPair) -> str | None:
+    """The first reason why `pair` is not a good (u, v)-pair, or None."""
     out_tree = pair.out_branching
     in_tree = pair.in_branching
     if out_tree.kind != "out":
-        return False, "first tree is not an out-tree"
+        return "first tree is not an out-tree"
     if in_tree.kind != "in":
-        return False, "second tree is not an in-tree"
+        return "second tree is not an in-tree"
     if out_tree.root != u:
-        return False, f"out-branching is rooted at {out_tree.root}, not {u}"
+        return f"out-branching is rooted at {out_tree.root}, not {u}"
     if in_tree.root != v:
-        return False, f"in-branching is rooted at {in_tree.root}, not {v}"
+        return f"in-branching is rooted at {in_tree.root}, not {v}"
     everything = range(digraph.n)
     ok, reason = out_tree.validate(digraph, within=everything)
     if not ok:
-        return False, f"out-branching: {reason}"
+        return f"out-branching: {reason}"
     ok, reason = in_tree.validate(digraph, within=everything)
     if not ok:
-        return False, f"in-branching: {reason}"
+        return f"in-branching: {reason}"
     shared = out_tree.arc_set() & in_tree.arc_set()
     if shared:
-        return False, f"trees share the arc {min(shared)}"
-    return True, None
+        return f"trees share the arc {min(shared)}"
+    return None
 
 
 def verify_certificate(
@@ -362,28 +368,21 @@ def _same_root_structure(digraph: Digraph, u: int) -> SameRootStructure | None:
     b_mask = in_mask & ~out_mask
     if not a_mask or not b_mask:
         return None
+    full = (1 << n) - 1
     masks = list(digraph.out_masks())
     terminal = _masked_components(n, masks, a_mask)[-1]
-    leaving = [
-        (p, q)
-        for p in _bits(terminal)
-        for q in _bits(digraph.out_mask(p) & ~terminal)
-    ]
+    leaving = _entering_arcs(digraph.reverse(), terminal, full)
     if len(leaving) != 1:
         return None
     initial = _masked_components(n, masks, b_mask)[0]
-    entering = [
-        (p, q)
-        for q in _bits(initial)
-        for p in _bits(digraph.in_mask(q) & ~initial)
-    ]
-    if len(entering) != 1 or leaving[0] != entering[0]:
+    entering = _entering_arcs(digraph, initial, full)
+    if entering != [leaving[0][::-1]]:
         return None
     return SameRootStructure(
         tuple(_bits(a_mask)),
         tuple(_bits(b_mask)),
         tuple(_bits(out_mask & in_mask)),
-        leaving[0],
+        entering[0],
     )
 
 
@@ -406,7 +405,7 @@ class ExtensionObstruction:
     the other side all touch its boundary vertex with no usable combination.
 
     An obstruction means the move table gives up, not that no extension
-    exists; callers fall back to a search.
+    exists; `_cut_arc_pair` falls back to a search.
     """
 
     mode: str
@@ -515,7 +514,10 @@ def extend_trees_across_cut(
     else:
         moved = _mirrored(_back_arc_primal, digraph, out_tree, in_tree, x, y, a, b)
     if moved is not None:
-        return _checked_extension(digraph, out_tree.root, in_tree.root, moved)
+        reason = _pair_problem(digraph, out_tree.root, in_tree.root, GoodPair(*moved))
+        if reason is not None:
+            raise InternalInconsistency(f"extension built a bad pair: {reason}")
+        return moved
 
     if mode == "no-arc":
         case = "small"
@@ -533,22 +535,6 @@ def extend_trees_across_cut(
             f"no extension move applies but the leftover shape fails: {reason}"
         )
     return ExtensionObstruction(mode, case, tuple(sorted(x)), tuple(sorted(y)))
-
-
-def _checked_extension(digraph, out_root, in_root, moved):
-    out2, in2 = moved
-    everything = range(digraph.n)
-    ok, reason = out2.validate(digraph, within=everything)
-    if not ok:
-        raise InternalInconsistency(f"extension built a bad out-tree: {reason}")
-    ok, reason = in2.validate(digraph, within=everything)
-    if not ok:
-        raise InternalInconsistency(f"extension built a bad in-tree: {reason}")
-    if out2.kind != "out" or in2.kind != "in" or out2.root != out_root or in2.root != in_root:
-        raise InternalInconsistency("extension changed a root or a tree kind")
-    if out2.arc_set() & in2.arc_set():
-        raise InternalInconsistency("extension made the trees overlap")
-    return out2, in2
 
 
 def _mirrored(primal, digraph, out_tree, in_tree, x, y, *arc):
@@ -706,12 +692,7 @@ def _back_arc_primal(digraph, out_tree, in_tree, x, y, a, b):
             in2 = in_tree.with_arcs([(b, x_other), (x_other, a)])
             return out2, in2
     if len(y) == 1:
-        inner_unused = [
-            (p, q)
-            for p in sorted(x)
-            for q in sorted(x)
-            if p != q and digraph.has_arc(p, q) and (p, q) not in used
-        ]
+        inner_unused = sorted(_inner_arcs(digraph, x) - used)
         b_outs = [e for e in inner_unused if e[0] == b]
         others = [e for e in inner_unused if e[0] != b]
         for _, bo in b_outs:
@@ -857,8 +838,8 @@ def construct_good_pair(
     if certificate is not None:
         return certificate
     pair = _build_pair(digraph, u, v, profile)
-    ok, reason = verify_good_pair(digraph, u, v, pair)
-    if not ok:
+    reason = _pair_problem(digraph, u, v, pair)
+    if reason is not None:
         raise InternalInconsistency(f"constructed pair fails verification: {reason}")
     return pair
 
@@ -884,21 +865,26 @@ def _build_pair(digraph: Digraph, u: int, v: int, profile) -> GoodPair:
 def _nonstrong_pair(
     digraph: Digraph, u: int, v: int, dec: StrongDecomposition
 ) -> GoodPair:
-    """Split off the terminal component: ahead of it every vertex dominates
-    every later vertex fully and nothing points back, which is exactly the
-    no-designated-arc extension shape, so growing one tree per side and
-    bridging always succeeds at order four and up."""
+    """Split off the terminal component Y: ahead of it, in X, every vertex
+    dominates every vertex of Y and nothing points back, which is exactly the
+    no-designated-arc extension shape.
+
+    A yes puts u in the initial component, so u's breadth-first tree spans
+    D⟨X⟩, and v in Y, which is strong, so v's spans D⟨Y⟩.  With each tree
+    inside its own side, the no-arc move table always has a move at order
+    four and up (no yes instance of order two or three is non-strong): when
+    |X| ≥ 3, D⟨X⟩ is semicomplete with more than |X| − 1 arcs, so the
+    out-tree leaves one unused; |Y| ≥ 3 is the mirror case; and |X| = |Y| = 2
+    is the 2×2 move.  So an obstruction here is a bug, not a fallback case.
+    """
     y_side = dec.terminal
     x_side = tuple(q for comp in dec.components[:-1] for q in comp)
-    t_out = bfs_tree(digraph, u, "out", within=x_side)
-    t_in = bfs_tree(digraph, v, "in", within=y_side)
-    if t_out.covered() == set(x_side) and t_in.covered() == set(y_side):
-        result = extend_trees_across_cut(
-            digraph, t_out, t_in, x_side, y_side, "no-arc"
-        )
-        if not isinstance(result, ExtensionObstruction):
-            return GoodPair(*result)
-    return _search_pair(digraph, u, v)
+    t_out = _spanning_tree(digraph, u, "out", x_side)
+    t_in = _spanning_tree(digraph, v, "in", y_side)
+    result = extend_trees_across_cut(digraph, t_out, t_in, x_side, y_side, "no-arc")
+    if isinstance(result, ExtensionObstruction):
+        raise InternalInconsistency(f"no-arc move table exhausted: {result.case}")
+    return GoodPair(*result)
 
 
 def _cycle_pair(digraph: Digraph, u: int, v: int, cycle: ArcPath) -> GoodPair:
@@ -926,6 +912,13 @@ def _cut_arc_pair(
     contributes a spanning path feeding the cut arc, and the boundary is
     bridged in in-tree-arc mode.  The mirrored case reduces to the first two
     by reversing every arc and swapping the roles.
+
+    In the second case the cut arc is the only arc from Y into X, so every
+    in-branching rooted at v uses it and no out-branching rooted at u can
+    leave X and come back: a good pair of D holds an out-branching of D⟨X⟩
+    arc-disjoint from a (y, v)-path of D⟨X⟩.  `out_branching_vs_path` is
+    exact, so a certificate from it is a bug, not a fallback case.  Only the
+    two ExtensionObstruction outcomes fall back to `_search_pair`.
     """
     tail, head = arc
     last = len(reduced.components) - 1
@@ -945,8 +938,8 @@ def _cut_arc_pair(
     x_side = tuple(q for comp in reduced.components[:split] for q in comp)
     y_side = tuple(q for comp in reduced.components[split:] for q in comp)
     if reduced.component_of[v] == last:
-        t_out = _component_tree(digraph, x_side, u, "out")
-        t_in = _component_tree(digraph, y_side, v, "in")
+        t_out = _spanning_tree(digraph, u, "out", x_side)
+        t_in = _spanning_tree(digraph, v, "in", y_side)
         result = extend_trees_across_cut(
             digraph, t_out, t_in, x_side, y_side, "back-arc", arc=(tail, head)
         )
@@ -957,7 +950,7 @@ def _cut_arc_pair(
     pos = {orig: local for local, orig in enumerate(ids)}
     outcome = out_branching_vs_path(sub, pos[u], pos[head], pos[v])
     if not isinstance(outcome, tuple):
-        return _search_pair(digraph, u, v)
+        raise InternalInconsistency("a good pair exists but D⟨X⟩ has no tree and path")
     local_tree, local_path = outcome
     t_out = Tree("out", u, {ids[c]: ids[p] for c, p in local_tree.parent.items()})
     # The components of D⟨Y⟩ are the reduced ones from `split` on; chained
@@ -977,13 +970,6 @@ def _cut_arc_pair(
     if isinstance(result, ExtensionObstruction):
         return _search_pair(digraph, u, v)
     return GoodPair(*result)
-
-
-def _component_tree(digraph: Digraph, vertices, root: int, kind: str) -> Tree:
-    tree = bfs_tree(digraph, root, kind, within=vertices)
-    if len(tree.covered()) != len(vertices):
-        raise InternalInconsistency("side tree does not span its side")
-    return tree
 
 
 def _path_tree(path: ArcPath, kind: str) -> Tree:
@@ -1012,20 +998,13 @@ def _search_pair(digraph: Digraph, u: int, v: int) -> GoodPair:
     """Backtracking over the out-branching's parent map, lowest parents
     first, pruning as soon as some vertex can no longer reach v in the
     digraph minus the chosen tree arcs.  The decision layer has already said
-    yes, so exhaustion means a bug, not a no."""
+    yes, so exhaustion means a bug, not a no.  Three routes still reach it:
+    order three with a cut arc, a cycle whose residual attempts both fail,
+    and an ExtensionObstruction in `_cut_arc_pair`."""
     n = digraph.n
     full = (1 << n) - 1
-    order = []
-    seen = 1 << u
-    queue = deque([u])
-    while queue:
-        q = queue.popleft()
-        fresh = digraph.out_mask(q) & ~seen
-        seen |= fresh
-        for r in _bits(fresh):
-            order.append(r)
-            queue.append(r)
-    if seen != full:
+    order = list(bfs_tree(digraph, u, "out").parent)
+    if len(order) != n - 1:
         raise InternalInconsistency("the out root does not reach every vertex")
     ins = digraph.in_masks()
     rev_residual = list(ins)

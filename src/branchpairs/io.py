@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .branchings import GoodPair, Tree
 from .digraph import Digraph, StrongDecomposition
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 from .goodpair import (
     ChainObstruction,
     CutArcObstruction,
@@ -31,6 +31,11 @@ from .goodpair import (
 from .structures import ConsecutiveSingletons, TypeCertificate, TypedObstruction
 
 SCHEMA = 1
+
+# The largest order read.  A semicomplete digraph of a larger order needs at
+# least 5·10⁹ arc lines, and a header alone must not make the reader allocate
+# per-vertex storage before anything is checked.
+_MAX_ORDER = 100_000
 
 
 # --------------------------------------------------------------------------
@@ -78,16 +83,17 @@ def _read_canonical(text: str) -> Digraph | None:
     the header the text is checked as a whole: deleting its digits must leave
     m copies of ``" \n"``, and one `split` must give 2m tokens.  A
     semicomplete digraph has m >= n(n-1)/2 >= n-1 arcs, so a header with
-    n > m + 1 goes to the line reader, and nothing built here outgrows the
-    text.  Tokens map to ids and bits through two dicts over the canonical
-    spellings of 0..n-1 (a leading zero or an id out of range is a missing
-    key), and one loop over the arcs fills the out-masks; a duplicate arc
-    shows as fewer than m bits, a self-loop as a bit on the diagonal.
+    n > m + 1 (or above `_MAX_ORDER`) goes to the line reader, and nothing
+    built here outgrows the text.  Tokens map to ids and bits through two
+    dicts over the canonical spellings of 0..n-1 (a leading zero or an id out
+    of range is a missing key), and one loop over the arcs fills the
+    out-masks; a duplicate arc shows as fewer than m bits, a self-loop as a
+    bit on the diagonal.
     """
     head, newline, body = text.partition("\n")
     n_token, _, m_token = head.partition(" ")
     n, m = _canonical_int(n_token), _canonical_int(m_token)
-    if not newline or not n or m is None or n > m + 1 or not body.isascii():
+    if not newline or not n or m is None or n > min(m + 1, _MAX_ORDER) or not body.isascii():
         return None
     separators = body.encode().translate(None, _DIGITS)
     if len(separators) != 2 * m or separators != b" \n" * m:
@@ -226,6 +232,8 @@ def serialize_dot(digraph: Digraph, name: str = "D") -> str:
 def _digraph_from_arc_list(n: int, arcs) -> Digraph:
     if n <= 0:
         raise ParseError("vertex count must be positive")
+    if n > _MAX_ORDER:
+        raise TooLarge(f"vertex count {n} exceeds the maximum order {_MAX_ORDER}")
     try:
         return Digraph.from_arcs(n, arcs)
     except ValueError as exc:  # range, self-loops and duplicates
@@ -368,8 +376,8 @@ def _type_certificate_from(data) -> TypeCertificate:
     if kind not in ("A", "chain"):
         raise ParseError(f"unknown partition kind {kind!r}")
     raw_parts = data.get("parts")
-    if not isinstance(raw_parts, list):
-        raise ParseError("'parts' must be a list")
+    if not isinstance(raw_parts, list) or not all(isinstance(p, list) for p in raw_parts):
+        raise ParseError("'parts' must be a list of lists")
     parts = tuple(tuple(_int_only(q) for q in part) for part in raw_parts)
     raw_backs = data.get("back_arcs")
     if not isinstance(raw_backs, list):

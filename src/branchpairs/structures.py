@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .branchings import Tree
 from .digraph import (
     ArcPath,
     Digraph,
+    _bfs_parents,
     _bits,
     _check_instance,
     _mask,
@@ -617,26 +619,11 @@ def arc_disjoint_path_pair(
 
 
 def _bfs_path(out_masks, s: int, t: int) -> ArcPath | None:
-    if s == t:
-        return ArcPath((s,))
-    parent = {s: s}
-    frontier = [s]
-    seen = 1 << s
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for r in _bits(out_masks[q] & ~seen):
-                seen |= 1 << r
-                parent[r] = q
-                if r == t:
-                    seq = [t]
-                    while seq[-1] != s:
-                        seq.append(parent[seq[-1]])
-                    seq.reverse()
-                    return ArcPath(tuple(seq))
-                nxt.append(r)
-        frontier = nxt
-    return None
+    """A shortest (s,t)-path along the rows `out_masks`, or None."""
+    parent = _bfs_parents(out_masks, s, (1 << len(out_masks)) - 1)
+    if t != s and t not in parent:
+        return None
+    return Tree("out", s, parent).spine(t)
 
 
 def _search_paths(
@@ -651,15 +638,8 @@ def _search_paths(
     # distance-to-y1 for ordering and for pruning unreachable successors
     dist = [None] * n
     dist[y1] = 0
-    frontier = [y1]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for p in _bits(ins[q]):
-                if dist[p] is None:
-                    dist[p] = dist[q] + 1
-                    nxt.append(p)
-        frontier = nxt
+    for p, q in _bfs_parents(ins, y1, (1 << n) - 1).items():
+        dist[p] = dist[q] + 1
     used = [0] * n
     prefix = [x1]
     on_prefix = 1 << x1

@@ -1,16 +1,25 @@
 """Command-line interface: subcommands, exit codes, and output stability."""
 
 import ast
+import contextlib
 import io
 import json
 import pathlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchpairs.structures
-from branchpairs import fixture
+from branchpairs import GoodPair, construct_good_pair, fixture, fixture_names
 from branchpairs.cli import main
-from branchpairs.io import parse_edge_list, serialize_edge_list
+from branchpairs.io import (
+    certificate_to_dict,
+    pair_to_dict,
+    parse_edge_list,
+    serialize_edge_list,
+)
 
 S4_TEXT = serialize_edge_list(fixture("S4").digraph)
 
@@ -271,3 +280,109 @@ def test_package_reads_no_environment():
             else:
                 continue
             assert not names & forbidden, f"{path.name}:{node.lineno} reads the environment"
+
+
+# --------------------------------------------------------------------------
+# Exit codes under random input: 0 and 1 are answers, 2 is bad input, and 3
+# is a bug, so random text and JSON must never give 3.
+
+_INT = st.integers(-1, 8)
+_ROOT = st.integers(-1, 4)
+_JUNK = st.none() | st.booleans() | st.text(max_size=2) | _ROOT | st.lists(_ROOT, max_size=3)
+_VERTICES = st.lists(_ROOT, max_size=4)
+_ARCS = st.lists(st.lists(_ROOT, min_size=2, max_size=2), max_size=5)
+_CERTIFICATE_KINDS = (
+    "small-exception", "root-misplaced", "cut-arc", "odd-chain", "same-root-structure",
+)
+
+
+def _spoiled(draw, document: dict) -> dict:
+    """`document` with at most one of its fields replaced by junk."""
+    key = draw(st.sampled_from([None, *document]))
+    if key is not None:
+        document[key] = draw(_JUNK)
+    return document
+
+
+@st.composite
+def _verify_calls(draw):
+    """A fixture, a stored answer (the fixture's own, or random fields)
+    with at most one field of each object spoiled, and the roots the
+    command line gives with it."""
+    name = draw(st.sampled_from(fixture_names()))
+    digraph = fixture(name).digraph
+    u, v = draw(_ROOT), draw(_ROOT)
+    if 0 <= u < digraph.n and 0 <= v < digraph.n and draw(st.booleans()):
+        answer = construct_good_pair(digraph, u, v)
+        if isinstance(answer, GoodPair):
+            document = pair_to_dict(u, v, answer)
+        else:
+            document = certificate_to_dict(answer)
+    elif draw(st.booleans()):
+        document = {"schema": 1, "result": "yes", "u": u, "v": v,
+                    "out": draw(_ARCS), "in": draw(_ARCS)}
+    else:
+        partition = _spoiled(draw, {
+            "kind": draw(st.sampled_from(("A", "B", "chain"))),
+            "parts": draw(st.lists(_VERTICES | _JUNK, min_size=1, max_size=6)),
+            "back_arcs": draw(_ARCS),
+            "roles": {"u": u, "w": draw(_ROOT), "v": v},
+        })
+        document = {"schema": 1, "result": "no", "certificate": _spoiled(draw, {
+            "kind": draw(st.sampled_from(_CERTIFICATE_KINDS)),
+            "catalog": draw(st.sampled_from("abcdefg")),
+            "iso": draw(st.permutations(range(digraph.n))),
+            "which": draw(st.sampled_from(("u-not-initial", "v-not-terminal"))),
+            "components": draw(st.lists(_VERTICES, max_size=4)),
+            "arc": draw(st.lists(_ROOT, min_size=2, max_size=2)),
+            "partition": partition,
+            "a": draw(_VERTICES),
+            "b": draw(_VERTICES),
+            "c": draw(_VERTICES),
+        })}
+    document = _spoiled(draw, document)
+    if document.get("result") == "yes" and draw(st.booleans()):
+        return name, document, None, None  # a stored pair names its roots
+    return name, document, u, v
+
+
+@st.composite
+def _short_edge_lists(draw):
+    """Edge lists of order at most 8: a random semicomplete digraph, then
+    perhaps a wrong header count and some stray lines."""
+    n = draw(st.integers(0, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    arcs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            arcs += [[(i, j)], [(j, i)], [(i, j), (j, i)]][rng.randrange(3)]
+    lines = [f"{t} {h}" for t, h in arcs]
+    lines += draw(st.lists(st.sampled_from(("0 0", "0 9", "-1 2", "x", "1 2 3", "# c")),
+                           max_size=2))
+    m = draw(st.sampled_from((len(arcs), len(lines))) | st.integers(0, 30))
+    return "\n".join([f"{n} {m}"] + lines) + "\n"
+
+
+def _exit_code(argv, stdin):
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _roots(u, v):
+    return [f"-u={u}"] * (u is not None) + [f"-v={v}"] * (v is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verify_calls())
+def test_verify_exits_with_an_answer_or_an_input_error(call):
+    name, document, u, v = call
+    argv = ["verify", "--fixture", name, "--result", "-", *_roots(u, v)]
+    assert _exit_code(argv, json.dumps(document)) in (0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("decide", "construct")), _short_edge_lists(), _INT, _INT)
+def test_decide_exits_with_an_answer_or_an_input_error(command, text, u, v):
+    assert _exit_code([command, "--input", "-", *_roots(u, v)], text) in (0, 1, 2)

@@ -120,6 +120,11 @@ def test_strong_decomposition_examples():
     assert (out_set, in_set) == ((0,), (2,))
 
 
+def test_terminal_initial_sets_rejects_non_semicomplete_input():
+    with pytest.raises(NotSemicomplete):
+        terminal_initial_sets(Digraph.from_arcs(3, [(0, 1), (1, 2)]))
+
+
 def test_component_order_is_forward_exhaustive():
     # Between any two strong components, every arc leaves the earlier one.
     for n in range(2, 5):

@@ -1,11 +1,14 @@
 """Decision, construction, and verification of good (u,v)-pairs, plus the
 tree-extension move table they are built on."""
 
+import ast
+import pathlib
 import random
 import sys
 
 import pytest
 
+import branchpairs.goodpair
 import branchpairs.hamilton
 import branchpairs.structures
 from branchpairs import (
@@ -245,6 +248,41 @@ def test_construct_on_known_fault(monkeypatch):
         )
         raise
     assert_good_pair(KNOWN_FAULT, 4, 7, pair)
+
+
+def test_search_pair_is_called_only_from_its_known_routes():
+    # The parent-choice search is the fallback that construction should
+    # lose: it may run on the order-3 cut-arc route, after the residual
+    # attempts on a spanning cycle, and when `_cut_arc_pair` meets an
+    # ExtensionObstruction.  Every other route has a closed form.  Each call
+    # must be a statement right under an `if`, so that its guard is named.
+    path = pathlib.Path(branchpairs.goodpair.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    sites = sorted(
+        (function.name, ast.unparse(node.test))
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.If)
+        for statement in node.body
+        if _calls_search_pair(getattr(statement, "value", None))
+    )
+    calls = [node for node in ast.walk(tree) if _calls_search_pair(node)]
+    assert len(calls) == len(sites)
+    assert sites == [
+        ("_build_pair", "n == 3"),
+        ("_cut_arc_pair", "isinstance(result, ExtensionObstruction)"),
+        ("_cut_arc_pair", "isinstance(result, ExtensionObstruction)"),
+        ("_cycle_pair", "attempt is None"),
+    ]
+
+
+def _calls_search_pair(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_search_pair"
+    )
 
 
 def test_verify_good_pair_rejections():

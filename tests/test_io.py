@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from branchpairs import (
     Digraph,
     ParseError,
+    TooLarge,
     arc_disjoint_path_pair,
     construct_good_pair,
     decide_good_pair,
@@ -209,6 +210,14 @@ def test_dot_rejects_unsupported_features(text):
         formats.parse_dot(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["100001 0\n", "digraph { 100000; }\n"]
+)
+def test_orders_above_the_cap_are_refused_before_allocating(text):
+    with pytest.raises(TooLarge):
+        formats.parse_digraph(text)
+
+
 def test_parse_digraph_sniffs_the_format():
     assert formats.parse_digraph(formats.serialize_dot(C3)) == C3
     assert formats.parse_digraph(formats.serialize_edge_list(C3)) == C3
@@ -293,6 +302,12 @@ def test_certificate_parsing_rejects_malformed_dicts():
     broken["certificate"]["components"] = [[0, 1], [1, 3]]  # not a partition
     with pytest.raises(ParseError):
         formats.certificate_from_dict(broken)
+    partition = {"kind": "chain", "parts": [[0], None], "back_arcs": [],
+                 "roles": {"u": 0, "w": 0, "v": 0}}
+    with pytest.raises(ParseError):
+        formats.certificate_from_dict(
+            dict(data, certificate={"kind": "odd-chain", "partition": partition})
+        )
 
 
 def test_paths_serialization_shapes():
