@@ -20,6 +20,7 @@ from .digraph import (
     _bfs_parents,
     _bits,
     _check_instance,
+    _check_vertices,
     _entering_arcs,
     _flow_paths,
     _mask,
@@ -28,7 +29,7 @@ from .digraph import (
     _transpose,
     terminal_initial_sets,
 )
-from .errors import BadEndpoints, InternalInconsistency, PreconditionViolated
+from .errors import InternalInconsistency, PreconditionViolated
 
 
 class Tree:
@@ -163,6 +164,7 @@ def bfs_tree(digraph: Digraph, root: int, kind: str, within=None) -> Tree:
     """Breadth-first out-/in-tree from `root`, restricted to `within` when
     given.  Covers exactly the vertices reachable (for 'out') or reaching
     (for 'in') inside the restriction; callers check coverage."""
+    _check_vertices(digraph, root)
     allowed = (1 << digraph.n) - 1 if within is None else _mask(within)
     masks = digraph.out_masks() if kind == "out" else digraph.in_masks()
     return Tree(kind, root, _bfs_parents(masks, root, allowed))
@@ -180,8 +182,7 @@ def edmonds_deficiency(digraph: Digraph, s: int, k: int) -> DeficientSet | None:
     """None iff λ(s,t) ≥ k for every t (Edmonds' condition for k arc-disjoint
     out-branchings rooted at s); otherwise a minimal violated cut, taken from
     the sink side of a failed flow."""
-    if not 0 <= s < digraph.n:
-        raise BadEndpoints(f"root {s} out of range")
+    _check_vertices(digraph, s)
     if k <= 0:
         return None
     deficient = _deficient_sink(digraph, 1 << s, k)

@@ -319,6 +319,13 @@ def _check_instance(digraph: Digraph, *vertices: int | None) -> None:
     bad = validate_semicomplete(digraph)
     if bad is not None:
         raise NotSemicomplete(bad)
+    _check_vertices(digraph, *vertices)
+
+
+def _check_vertices(digraph: Digraph, *vertices: int | None) -> None:
+    """BadEndpoints for the first vertex out of range, with no semicomplete
+    scan, for the entry points that also take other digraphs.  `None`
+    stands for a role the caller leaves open."""
     for vertex in vertices:
         if vertex is not None and not 0 <= vertex < digraph.n:
             raise BadEndpoints(f"vertex {vertex} out of range")
@@ -471,6 +478,7 @@ def _max_flow(out_masks: list[int], n: int, source_mask: int, sink: int,
 
 def local_arc_connectivity(digraph: Digraph, s: int, t: int, cap: int) -> int:
     """min(cap, λ(s,t)): maximum number of pairwise arc-disjoint (s,t)-paths."""
+    _check_vertices(digraph, s, t)
     if s == t:
         raise BadEndpoints("endpoints must differ")
     value, _, _ = _max_flow(list(digraph._out), digraph.n, 1 << s, t, cap)
@@ -480,8 +488,7 @@ def local_arc_connectivity(digraph: Digraph, s: int, t: int, cap: int) -> int:
 def arc_disjoint_paths(digraph: Digraph, s: int, t: int, k: int) -> list[ArcPath]:
     """Up to k pairwise arc-disjoint (s,t)-paths (as many as exist, capped),
     read from one max-flow by `_flow_paths`."""
-    if not (0 <= s < digraph.n and 0 <= t < digraph.n):
-        raise BadEndpoints("endpoint out of range")
+    _check_vertices(digraph, s, t)
     if s == t:
         raise BadEndpoints("endpoints must differ")
     if k < 0:

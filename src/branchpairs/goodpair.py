@@ -558,13 +558,21 @@ def _moves_no_arc(digraph, out_tree, in_tree, x, y):
     moved = _mirrored(_no_arc_primal, digraph, out_tree, in_tree, x, y)
     if moved is not None:
         return moved
-    if len(x) == 2 and len(y) == 2:
-        x1, x2 = sorted(x)
-        y1, y2 = sorted(y)
-        out2 = out_tree.with_arcs([(x1, y1), (x2, y2)])
-        in2 = in_tree.with_arcs([(x1, y2), (x2, y1)])
-        return out2, in2
-    return None
+    return _crossing_move(out_tree, in_tree, x, y)
+
+
+def _crossing_move(out_tree, in_tree, xs, ys):
+    """The 2×2 crossing move: with sides xs = {x1, x2} and ys = {y1, y2}
+    (sorted), the out-tree takes (x1, y1), (x2, y2) and the in-tree the
+    crossing arcs (x1, y2), (x2, y1).  None unless both sides have two
+    vertices."""
+    if len(xs) != 2 or len(ys) != 2:
+        return None
+    x1, x2 = sorted(xs)
+    y1, y2 = sorted(ys)
+    out2 = out_tree.with_arcs([(x1, y1), (x2, y2)])
+    in2 = in_tree.with_arcs([(x1, y2), (x2, y1)])
+    return out2, in2
 
 
 def _no_arc_primal(digraph, out_tree, in_tree, x, y):
@@ -638,13 +646,7 @@ def _moves_in_tree_arc(digraph, out_tree, in_tree, x, y, a, b):
                 )
                 in2 = in_tree.with_arcs((r, d) for r in sorted(x - {b}))
                 return out2, in2
-    if len(x - {b}) == 2 and len(y) == 2:
-        x1, x2 = sorted(x - {b})
-        y1, y2 = sorted(y)
-        out2 = out_tree.with_arcs([(x1, y1), (x2, y2)])
-        in2 = in_tree.with_arcs([(x1, y2), (x2, y1)])
-        return out2, in2
-    return None
+    return _crossing_move(out_tree, in_tree, x - {b}, y)
 
 
 def _back_arc_primal(digraph, out_tree, in_tree, x, y, a, b):

@@ -18,10 +18,11 @@ from .digraph import (
     ArcPath,
     Digraph,
     _bits,
+    _check_vertices,
     is_k_arc_strong,
     strong_decomposition,
 )
-from .errors import BadEndpoints, ConstraintUnsatisfiable, TooLarge
+from .errors import ConstraintUnsatisfiable, TooLarge
 
 _ORACLE_MAX = 9
 _REJECTION_CAP = 100_000
@@ -59,12 +60,6 @@ def _check_order(digraph: Digraph) -> None:
         raise TooLarge(f"oracle is capped at {_ORACLE_MAX} vertices")
 
 
-def _check_vertex(digraph: Digraph, *vertices: int) -> None:
-    for v in vertices:
-        if not 0 <= v < digraph.n:
-            raise BadEndpoints(f"vertex {v} out of range")
-
-
 def oracle_good_pair(digraph: Digraph, u: int, v: int) -> GoodPair | None:
     """First out-branching rooted at u (in backtracking order) that leaves an
     in-branching rooted at v in the remaining arcs; None if no such pair.
@@ -74,7 +69,7 @@ def oracle_good_pair(digraph: Digraph, u: int, v: int) -> GoodPair | None:
     every vertex in the digraph minus the arcs already claimed.
     """
     _check_order(digraph)
-    _check_vertex(digraph, u, v)
+    _check_vertices(digraph, u, v)
     n = digraph.n
     if n == 1:
         return GoodPair(Tree("out", u), Tree("in", v))
@@ -143,7 +138,7 @@ def oracle_good_pair_targets(digraph: Digraph, u: int) -> tuple[int, ...]:
     out-branching rooted at u and collecting the in-roots its residual digraph
     supports.  Used by the exhaustive sweeps; one enumeration serves all v."""
     _check_order(digraph)
-    _check_vertex(digraph, u)
+    _check_vertices(digraph, u)
     n = digraph.n
     if n == 1:
         return (0,)
@@ -230,7 +225,7 @@ def oracle_path_pair(
     """Exhaustive search for arc-disjoint (x1,y1)- and (x2,y2)-paths: depth
     first over the first path's vertex sequence, reachability for the second."""
     _check_order(digraph)
-    _check_vertex(digraph, x1, y1, x2, y2)
+    _check_vertices(digraph, x1, y1, x2, y2)
     out_masks = digraph.out_masks()
     n = digraph.n
 

@@ -344,6 +344,42 @@ def _scan_type_a(
     return None
 
 
+def _interior_candidates(n: int, out, hmask: int, spend) -> list[tuple[int, int, int, int]]:
+    """Every interior part X of D⟨hmask⟩ as (X, t, h, terminal): (t, h) is
+    the one arc of D⟨hmask⟩ entering X, h lies in the initial component of
+    D⟨X⟩, and `terminal` is the terminal component of D⟨X⟩.  Sorted on
+    (X, t, h).  Each arc is taken out of the rows `out` and put back;
+    `spend` is called once per arc.
+
+    For each arc (t, h), D⟨hmask⟩ minus that arc is semicomplete except for
+    the pair {t, h}, so its strong components, in topological order, form a
+    chain, except that {t} and {h} may be two incomparable singletons.  Only
+    (t, h) enters X, so X is a down-set of that order; h is initial in the
+    semicomplete D⟨X⟩, so h's component is a source.  Hence X is a prefix of
+    the chain that starts at h's component and stops before t's, once a
+    leading {t}, {h} is swapped, and every such prefix qualifies.  The
+    terminal component of D⟨X⟩ is the prefix's last component."""
+    found = []
+    for tail in _bits(hmask):
+        for head in _bits(out[tail] & hmask):
+            spend()
+            out[tail] ^= 1 << head
+            comps = _masked_components(n, out, hmask)
+            out[tail] ^= 1 << head
+            if len(comps) > 1 and comps[:2] == [1 << tail, 1 << head]:
+                comps[:2] = comps[1::-1]
+            if not comps[0] >> head & 1:
+                continue
+            xmask = 0
+            for cmask in comps:
+                if cmask >> tail & 1:
+                    break
+                xmask |= cmask
+                found.append((xmask, tail, head, cmask))
+    found.sort()
+    return found
+
+
 def _layer_search(
     digraph: Digraph,
     u: int,
@@ -357,14 +393,16 @@ def _layer_search(
 
     Levels are peeled lowest-first.  An interior part X of the remainder H
     has exactly one entering arc (t, h) inside D⟨H⟩ (its back arc), with h in
-    the initial component of D⟨X⟩; t is owed to the part two levels up —
-    tracked as pend_next, then pend_here, and finally discharged by the
-    terminal/last-part placement when the remainder splits into the top two
-    parts (a prefix split of the condensation, which carries no backward
-    arcs).  Roles decide which split parities are acceptable."""
+    the initial component of D⟨X⟩; `_interior_candidates` reads them off one
+    strong decomposition of D⟨H⟩ minus (t, h) per arc.  t is owed to the
+    terminal component of the part two levels up — tracked as pend_next, then
+    pend_here, and finally discharged by the terminal/last-part placement
+    when the remainder splits into the top two parts (a prefix of the
+    condensation of D⟨H⟩, which carries no backward arcs; the terminal
+    component of each side is its last component).  Roles decide which split
+    parities are acceptable."""
     n = digraph.n
     out = list(digraph.out_masks())
-    ins = list(digraph.in_masks())
     ubit = 1 << u
     wbit = 0 if w is None else 1 << w
     vbit = 1 << v
@@ -376,76 +414,13 @@ def _layer_search(
         if budget[0] < 0:
             raise InternalInconsistency("structure search budget exhausted")
 
-    def terminal_of(mask: int) -> int:
-        return _masked_components(n, out, mask)[-1]
-
-    def interior_candidates(hmask: int) -> list[tuple[int, int, int]]:
-        found: list[tuple[int, int, int]] = []
-        for tail in _bits(hmask):
-            for head in _bits(out[tail] & hmask):
-                spend()
-                saved_o, saved_i = out[tail], ins[head]
-                out[tail] = saved_o & ~(1 << head)
-                ins[head] = saved_i & ~(1 << tail)
-                comps = _masked_components(n, out, hmask)
-                r = len(comps)
-                comp_of = {}
-                for idx, cmask in enumerate(comps):
-                    for q in _bits(cmask):
-                        comp_of[q] = idx
-                ct, ch = comp_of[tail], comp_of[head]
-                if ct == ch:
-                    out[tail], ins[head] = saved_o, saved_i
-                    continue
-                pred = [0] * r
-                for idx, cmask in enumerate(comps):
-                    entering = 0
-                    for q in _bits(cmask):
-                        entering |= ins[q] & hmask & ~cmask
-                    for t2 in _bits(entering):
-                        pred[idx] |= 1 << comp_of[t2]
-                out[tail], ins[head] = saved_o, saved_i
-                if pred[ch]:
-                    continue  # head's component is not a source: no candidates
-                # Enumerate down-sets of the condensation containing head's
-                # component as sole source and excluding tail's component.
-                # The condensation is a chain up to one incomparable pair, so
-                # this is a short list.
-                stack = [(0, 0)]
-                while stack:
-                    spend()
-                    idx, chosen = stack.pop()
-                    if idx == r:
-                        if not chosen >> ch & 1 or chosen >> ct & 1:
-                            continue
-                        sole = True
-                        m = chosen
-                        while m:
-                            b = m & -m
-                            m ^= b
-                            cidx = b.bit_length() - 1
-                            if cidx != ch and pred[cidx] & chosen == 0:
-                                sole = False
-                                break
-                        if sole:
-                            xmask = 0
-                            for cidx in _bits(chosen):
-                                xmask |= comps[cidx]
-                            found.append((xmask, tail, head))
-                        continue
-                    stack.append((idx + 1, chosen))
-                    if pred[idx] & ~chosen == 0:
-                        stack.append((idx + 1, chosen | (1 << idx)))
-        found.sort()
-        return found
-
-    def split_candidates(hmask: int) -> list[tuple[int, int]]:
+    def split_candidates(hmask: int) -> list[tuple[int, int, int, int]]:
         comps = _masked_components(n, out, hmask)
         found = []
         prefix = 0
         for cmask in comps[:-1]:
             prefix |= cmask
-            found.append((prefix, hmask & ~prefix))
+            found.append((prefix, cmask, hmask & ~prefix, comps[-1]))
         return found
 
     def rec(
@@ -462,15 +437,10 @@ def _layer_search(
         if key in failed:
             return None
         if level >= 2:
-            for pmask, smask in split_candidates(hmask):
-                if pend_here is not None:
-                    if not pmask >> pend_here & 1:
-                        continue
-                    if not terminal_of(pmask) >> pend_here & 1:
-                        continue
-                if not smask >> pend_next & 1:
+            for pmask, pterm, smask, sterm in split_candidates(hmask):
+                if pend_here is not None and not pterm >> pend_here & 1:
                     continue
-                if not terminal_of(smask) >> pend_next & 1:
+                if not sterm >> pend_next & 1:
                     continue
                 if level == 2:
                     if odd_only or w is None:
@@ -512,7 +482,7 @@ def _layer_search(
                         f"layer search built a bad certificate: {reason}"
                     )
                 return cert
-        for xmask, tail, head in interior_candidates(hmask):
+        for xmask, tail, head, xterm in _interior_candidates(n, out, hmask, spend):
             if level == 1:
                 if xmask & (ubit | wbit | vbit):
                     continue
@@ -526,11 +496,8 @@ def _layer_search(
             else:
                 if xmask & (ubit | wbit):
                     continue
-            if pend_here is not None:
-                if not xmask >> pend_here & 1:
-                    continue
-                if not terminal_of(xmask) >> pend_here & 1:
-                    continue
+            if pend_here is not None and not xterm >> pend_here & 1:
+                continue
             if pend_next is not None and xmask >> pend_next & 1:
                 continue
             found = rec(

@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchpairs.structures
-from branchpairs import GoodPair, construct_good_pair, fixture, fixture_names
+from branchpairs import Digraph, GoodPair, construct_good_pair, fixture, fixture_names
 from branchpairs.cli import main
 from branchpairs.io import (
     certificate_to_dict,
     pair_to_dict,
     parse_edge_list,
+    serialize_dot,
     serialize_edge_list,
 )
 
@@ -346,21 +347,63 @@ def _verify_calls(draw):
     return name, document, u, v
 
 
-@st.composite
-def _short_edge_lists(draw):
-    """Edge lists of order at most 8: a random semicomplete digraph, then
-    perhaps a wrong header count and some stray lines."""
-    n = draw(st.integers(0, 8))
+def _random_arcs(draw, max_order):
+    """The order and arcs of a random semicomplete digraph of order at most
+    `max_order`, digons included."""
+    n = draw(st.integers(0, max_order))
     rng = draw(st.randoms(use_true_random=False))
     arcs = []
     for i in range(n):
         for j in range(i + 1, n):
             arcs += [[(i, j)], [(j, i)], [(i, j), (j, i)]][rng.randrange(3)]
+    return n, arcs
+
+
+def _edge_list_text(draw, n, arcs):
+    """The edge list of the arcs, perhaps with a wrong header count and some
+    stray lines."""
     lines = [f"{t} {h}" for t, h in arcs]
     lines += draw(st.lists(st.sampled_from(("0 0", "0 9", "-1 2", "x", "1 2 3", "# c")),
                            max_size=2))
     m = draw(st.sampled_from((len(arcs), len(lines))) | st.integers(0, 30))
     return "\n".join([f"{n} {m}"] + lines) + "\n"
+
+
+_STRAY_DOT = ("7;", "0 -> 0;", "0 -> 1;", "1 -> 2 -> 0;", "a -> b;", "0 -> 1 [w=1];",
+              "0 -- 1;", "-1 -> 2;", "}", "{", "99999999999 -> 0;", "strict")
+
+
+def _dot_text(draw, n, arcs):
+    """The arcs in DOT, perhaps with a stray or unsupported statement."""
+    body = serialize_dot(Digraph.from_arcs(n, arcs)).splitlines()[:-1] if n else ["digraph {"]
+    body += draw(st.lists(st.sampled_from(_STRAY_DOT), max_size=1))
+    return "\n".join(body + ["}"]) + "\n"
+
+
+@st.composite
+def _short_edge_lists(draw):
+    """Edge lists of a random semicomplete digraph of order at most 8."""
+    return _edge_list_text(draw, *_random_arcs(draw, 8))
+
+
+_ROLE_OPTIONS = {
+    "paths": ("--x1", "--y1", "--x2", "--y2"),
+    "detect": ("-u", "-w", "-v"),
+    "decide": ("-u", "-v"),
+}
+
+
+@st.composite
+def _instance_calls(draw):
+    """A `paths`, `detect` or `decide` command line, and its input: a random
+    semicomplete digraph of order n <= 6 as an edge list or in DOT.  The
+    vertex ids lie in [0, n) or, for half the calls, in [-1, n]."""
+    n, arcs = _random_arcs(draw, 6)
+    text = draw(st.sampled_from((_edge_list_text, _dot_text)))(draw, n, arcs)
+    command = draw(st.sampled_from(sorted(_ROLE_OPTIONS)))
+    ids = st.integers(0, n - 1) if n and draw(st.booleans()) else st.integers(-1, n)
+    options = [f"{name}={draw(ids)}" for name in _ROLE_OPTIONS[command]]
+    return [command, "--input", "-", *options], text
 
 
 def _exit_code(argv, stdin):
@@ -386,3 +429,10 @@ def test_verify_exits_with_an_answer_or_an_input_error(call):
 @given(st.sampled_from(("decide", "construct")), _short_edge_lists(), _INT, _INT)
 def test_decide_exits_with_an_answer_or_an_input_error(command, text, u, v):
     assert _exit_code([command, "--input", "-", *_roots(u, v)], text) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_instance_calls())
+def test_paths_detect_and_dot_input_exit_with_an_answer_or_an_input_error(call):
+    argv, text = call
+    assert _exit_code(argv, text) in (0, 1, 2)

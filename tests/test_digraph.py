@@ -18,11 +18,13 @@ from branchpairs import (
     Tree,
     arc_disjoint_path_pair,
     arc_disjoint_paths,
+    bfs_tree,
     construct_good_pair,
     cut_arcs,
     decide_good_pair,
     detect_obstruction_type,
     detect_odd_chain,
+    edmonds_deficiency,
     enumerate_semicomplete,
     extend_trees_across_cut,
     fixture,
@@ -374,3 +376,24 @@ def test_entry_points_share_one_input_check(entry):
             expected = BadEndpoints, rf"^vertex {x} out of range$"
         with pytest.raises(expected[0], match=expected[1]):
             call(K3, x)
+
+
+# The flow and tree entry points also run on residual digraphs that are not
+# semicomplete, so they check only the range of their vertex arguments.
+RANGE_CHECKED = {
+    "local_arc_connectivity source": lambda d, x: local_arc_connectivity(d, x, 0, 2),
+    "local_arc_connectivity sink": lambda d, x: local_arc_connectivity(d, 0, x, 2),
+    "arc_disjoint_paths": lambda d, x: arc_disjoint_paths(d, 0, x, 2),
+    "bfs_tree out": lambda d, x: bfs_tree(d, x, "out"),
+    "bfs_tree in": lambda d, x: bfs_tree(d, x, "in"),
+    "edmonds_deficiency": lambda d, x: edmonds_deficiency(d, x, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RANGE_CHECKED))
+def test_flow_and_tree_entry_points_check_the_vertex_range(entry):
+    path = Digraph.from_arcs(3, [(0, 1), (1, 2)])  # not semicomplete
+    for x in (-1, path.n, path.n + 5):
+        with pytest.raises(BadEndpoints, match=rf"^vertex {x} out of range$"):
+            RANGE_CHECKED[entry](path, x)
+    RANGE_CHECKED[entry](path, 2)

@@ -9,6 +9,7 @@ from branchpairs import (
     ChainObstruction,
     ConsecutiveSingletons,
     Digraph,
+    GeneratorConfig,
     NoBasePath,
     TypeCertificate,
     TypedObstruction,
@@ -18,11 +19,15 @@ from branchpairs import (
     enumerate_semicomplete,
     fixture,
     oracle_path_pair,
+    random_semicomplete,
     relabel_type_certificate,
     verify_certificate,
     verify_type_certificate,
 )
-from branchpairs.structures import verify_path_pair_obstruction
+from branchpairs import structures
+from branchpairs.digraph import _bits, _mask, _reach
+from branchpairs.structures import _interior_candidates, verify_path_pair_obstruction
+from conftest import trans_back
 
 C3 = fixture("C3").digraph
 K3 = fixture("K3").digraph
@@ -188,3 +193,74 @@ def test_any_arc_criterion_matches_path_pair():
                     continue
                 want = oracle_path_pair(d, x, y, y, z)
                 assert isinstance(got, tuple) == (want is not None)
+
+
+def _closed_form_digraphs():
+    """Every semicomplete digraph of order at most four, and seeded random
+    ones of orders five to seven (digons included)."""
+    for n in range(1, 5):
+        yield from enumerate_semicomplete(n)
+    for seed in range(12):
+        yield random_semicomplete(
+            GeneratorConfig(n=5 + seed % 3, digon_prob=0.1 * (seed % 4), seed=seed)
+        )
+
+
+def _interior_parts_by_brute_force(d, hmask):
+    """Every X ⊊ H whose one entering arc (t, h) in D⟨H⟩ has h in the
+    initial component of D⟨X⟩, with the terminal component of D⟨X⟩; the
+    components are read off reachability inside X."""
+    out = d.out_masks()
+    found = []
+    for xmask in range(1, hmask):
+        if xmask & ~hmask:
+            continue
+        entering = [(t, h) for t in _bits(hmask & ~xmask) for h in _bits(out[t] & xmask)]
+        if len(entering) != 1:
+            continue
+        tail, head = entering[0]
+        inside = [m & xmask for m in out]
+        reaches = {q: _reach(inside, 1 << q) for q in _bits(xmask)}
+        if reaches[head] != xmask:
+            continue  # head is not in the initial component
+        terminal = _mask(q for q in _bits(xmask) if all(r >> q & 1 for r in reaches.values()))
+        found.append((xmask, tail, head, terminal))
+    return sorted(found)
+
+
+def test_interior_candidates_match_brute_force():
+    checked = 0
+    for d in _closed_form_digraphs():
+        for hmask in range(1, 1 << d.n):
+            got = _interior_candidates(d.n, list(d.out_masks()), hmask, lambda: None)
+            assert got == _interior_parts_by_brute_force(d, hmask), (d, hmask)
+            checked += len(got)
+    assert checked > 1000
+
+
+def test_layer_search_decomposes_once_per_arc_and_split(monkeypatch):
+    # One strong decomposition per arc of each remainder the interior parts
+    # are read from, and at most one more per remainder for its splits; none
+    # per candidate.  No root pair of trans_back(10) has an odd chain, so no
+    # certificate is verified.
+    d = trans_back(10)
+    calls = {"tarjan": 0, "arcs": 0, "remainders": 0}
+    tarjan = structures._masked_components
+    interior = structures._interior_candidates
+
+    def counted_tarjan(*args):
+        calls["tarjan"] += 1
+        return tarjan(*args)
+
+    def counted_interior(n, out, hmask, spend):
+        calls["remainders"] += 1
+        calls["arcs"] += sum((out[q] & hmask).bit_count() for q in _bits(hmask))
+        return interior(n, out, hmask, spend)
+
+    monkeypatch.setattr(structures, "_masked_components", counted_tarjan)
+    monkeypatch.setattr(structures, "_interior_candidates", counted_interior)
+    for u, v in itertools.product(range(d.n), repeat=2):
+        calls.update(tarjan=0, arcs=0, remainders=0)
+        assert detect_odd_chain(d, u, v) is None
+        assert calls["remainders"] > 0
+        assert calls["arcs"] <= calls["tarjan"] <= calls["arcs"] + calls["remainders"], (u, v)
