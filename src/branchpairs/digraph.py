@@ -84,7 +84,7 @@ def _bfs_parents(masks, root: int, allowed: int) -> dict[int, int]:
 
 def _entering_arcs(digraph: Digraph, part: int, host: int) -> list[tuple[int, int]]:
     """The arcs from `host` minus `part` into `part`, ordered by head, then
-    tail; the arcs leaving `part` are those entering it in the reverse."""
+    tail."""
     return [
         (tail, head)
         for head in _bits(part)
@@ -390,14 +390,42 @@ def _masked_components(n: int, out_masks, vmask: int) -> list[int]:
     return comps
 
 
+def _semicomplete_components(out_masks, vmask: int) -> list[int]:
+    """Strong components of the semicomplete sub-digraph induced by `vmask`,
+    as vertex masks in topological (initial-first) order, read off the
+    out-degrees inside `vmask` with no per-arc search.
+
+    Order the vertices by out-degree and walk from the low end, growing a
+    suffix and the union of its out-rows; each time those rows stay inside
+    the suffix (within `vmask`), the suffix closes a component.  With the
+    components K_1, ..., K_k in their acyclic order, a vertex x of K_i
+    dominates every later component, so outdeg(x) >= sum_{l>i} |K_l|, while
+    a vertex y of a later K_j has outdeg(y) <= |K_j| - 1 + sum_{l>j} |K_l|,
+    which is smaller.  So each component is a contiguous run of the order
+    and every union of the last few components is closed; a proper part of
+    a strong component has an arc into the rest of it, so no cut falls
+    inside one."""
+    order = sorted(_bits(vmask), key=lambda v: (out_masks[v] & vmask).bit_count())
+    comps = []
+    suffix = rows = closed = 0
+    for v in order:
+        suffix |= 1 << v
+        rows |= out_masks[v]
+        if not rows & vmask & ~suffix:
+            comps.append(suffix & ~closed)
+            closed = suffix
+    comps.reverse()
+    return comps
+
+
 def strong_decomposition(digraph: Digraph) -> StrongDecomposition:
-    """The strong components in their acyclic order.  A strong digraph is
-    recognised by two reachability sweeps from vertex 0, forward and
-    backward, before Tarjan's algorithm runs."""
+    """The strong components in their acyclic order.  A semicomplete digraph
+    is decomposed by its out-degree order (`_semicomplete_components`), any
+    other by Tarjan's algorithm."""
     n = digraph.n
     full = (1 << n) - 1
-    if n and _reach(digraph._out, 1) == full and _reach(digraph._in, 1) == full:
-        comps = [full]
+    if _non_adjacent_pair(digraph, full) is None:
+        comps = _semicomplete_components(digraph._out, full)
     else:
         comps = _masked_components(n, digraph._out, full)
     components = tuple(tuple(_bits(c)) for c in comps)

@@ -27,9 +27,9 @@ from .digraph import (
     _bits,
     _breaking_arcs,
     _check_instance,
-    _entering_arcs,
-    _masked_components,
+    _mask,
     _reach,
+    _semicomplete_components,
     small_isomorphism,
     strong_decomposition,
 )
@@ -361,29 +361,39 @@ def same_root_pair(digraph: Digraph, u: int) -> GoodPair | SameRootStructure:
 
 
 def _same_root_structure(digraph: Digraph, u: int) -> SameRootStructure | None:
-    n = digraph.n
     out_mask = digraph.out_mask(u)
     in_mask = digraph.in_mask(u)
     a_mask = out_mask & ~in_mask
     b_mask = in_mask & ~out_mask
     if not a_mask or not b_mask:
         return None
-    full = (1 << n) - 1
-    masks = list(digraph.out_masks())
-    terminal = _masked_components(n, masks, a_mask)[-1]
-    leaving = _entering_arcs(digraph.reverse(), terminal, full)
-    if len(leaving) != 1:
+    outs = digraph.out_masks()
+    leaving = _single_arc(outs, _semicomplete_components(outs, a_mask)[-1])
+    if leaving is None:
         return None
-    initial = _masked_components(n, masks, b_mask)[0]
-    entering = _entering_arcs(digraph, initial, full)
-    if entering != [leaving[0][::-1]]:
+    entering = _single_arc(digraph.in_masks(), _semicomplete_components(outs, b_mask)[0])
+    if entering != leaving[::-1]:
         return None
     return SameRootStructure(
         tuple(_bits(a_mask)),
         tuple(_bits(b_mask)),
         tuple(_bits(out_mask & in_mask)),
-        entering[0],
+        leaving,
     )
+
+
+def _single_arc(rows, part: int) -> tuple[int, int] | None:
+    """(p, q) when q is the only bit outside `part` in the rows of `part`'s
+    vertices (out-rows give the one arc leaving `part`, in-rows the one arc
+    entering it, reversed); None when there is none or more than one."""
+    found = None
+    for p in _bits(part):
+        row = rows[p] & ~part
+        if row:
+            if found is not None or row & (row - 1):
+                return None
+            found = (p, row.bit_length() - 1)
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -475,19 +485,29 @@ def extend_trees_across_cut(
     if out_tree.arc_set() & in_tree.arc_set():
         raise PreconditionViolated("the trees share an arc")
     used = out_tree.arc_set() | in_tree.arc_set()
+    used_out, used_in = [0] * n, [0] * n
+    for tail, head in used:
+        used_out[tail] |= 1 << head
+        used_in[head] |= 1 << tail
+    y_mask = _mask(y)
     for p in sorted(x):
-        for q in sorted(y):
-            if mode != "no-arc" and p == b and q == a:
-                continue
-            if not digraph.has_arc(p, q):
-                raise PreconditionViolated(f"missing forward arc ({p},{q})")
-            if (p, q) in used:
-                raise PreconditionViolated(f"cross arc ({p},{q}) is already used")
-            if digraph.has_arc(q, p):
-                if mode != "no-arc":
-                    raise PreconditionViolated(f"unexpected backward arc ({q},{p})")
-                if (q, p) in used:
-                    raise PreconditionViolated(f"cross arc ({q},{p}) is already used")
+        cross = y_mask & ~(1 << a) if mode != "no-arc" and p == b else y_mask
+        missing = cross & ~digraph.out_mask(p)
+        used_forward = cross & used_out[p]
+        backward = cross & digraph.in_mask(p)
+        if mode == "no-arc":
+            backward &= used_in[p]
+        bad = missing | used_forward | backward
+        if not bad:
+            continue
+        q = (bad & -bad).bit_length() - 1
+        if missing >> q & 1:
+            raise PreconditionViolated(f"missing forward arc ({p},{q})")
+        if used_forward >> q & 1:
+            raise PreconditionViolated(f"cross arc ({p},{q}) is already used")
+        if mode != "no-arc":
+            raise PreconditionViolated(f"unexpected backward arc ({q},{p})")
+        raise PreconditionViolated(f"cross arc ({q},{p}) is already used")
     if mode == "in-tree-arc":
         pair_used = [
             e for e in ((a, b), (b, a)) if digraph.has_arc(*e) and e in used

@@ -25,6 +25,7 @@ from .digraph import (
     _masked_components,
     _non_adjacent_pair,
     _reach,
+    _semicomplete_components,
     strong_decomposition,
 )
 from .errors import InternalInconsistency, NoBasePath
@@ -193,13 +194,13 @@ def _verify_type_certificate(
             )
         if cert.kind != "A":
             out = digraph.out_masks()
-            src_comps = _masked_components(digraph.n, out, _mask(parts[src]))
+            src_comps = _semicomplete_components(out, _mask(parts[src]))
             if not src_comps[-1] >> tail & 1:
                 return False, (
                     f"tail of back arc ({tail},{head}) must lie in the "
                     f"terminal component of part {src + 1}"
                 )
-            dst_comps = _masked_components(digraph.n, out, _mask(parts[dst]))
+            dst_comps = _semicomplete_components(out, _mask(parts[dst]))
             if not dst_comps[0] >> head & 1:
                 return False, (
                     f"head of back arc ({tail},{head}) must lie in the "
@@ -415,7 +416,7 @@ def _layer_search(
             raise InternalInconsistency("structure search budget exhausted")
 
     def split_candidates(hmask: int) -> list[tuple[int, int, int, int]]:
-        comps = _masked_components(n, out, hmask)
+        comps = _semicomplete_components(out, hmask)
         found = []
         prefix = 0
         for cmask in comps[:-1]:

@@ -41,9 +41,17 @@ from branchpairs import (
     verify_certificate,
     verify_good_pair,
 )
-from branchpairs.digraph import _bits, _breaking_arcs, _masked_components, _reach, is_tournament
+from branchpairs.digraph import (
+    _bits,
+    _breaking_arcs,
+    _masked_components,
+    _reach,
+    _semicomplete_components,
+    is_tournament,
+)
+from branchpairs.oracle import GeneratorConfig, random_semicomplete
 from branchpairs.structures import verify_path_pair_obstruction
-from conftest import strong_instances
+from conftest import strong_instances, two_blocks
 
 C3 = fixture("C3").digraph
 K3 = fixture("K3").digraph
@@ -316,6 +324,60 @@ def test_strong_decomposition_equals_tarjan():
         assert all(dec.component_of[v] == i for i, comp in enumerate(dec.components) for v in comp)
         strong += dec.is_strong
     assert 0 < strong < len(instances)
+
+
+def _stacked(first, last, digon_prob, seed):
+    """Two seeded strong blocks on [0, first) and [first, first + last),
+    every cross pair pointing into the second."""
+    blocks = [
+        random_semicomplete(
+            GeneratorConfig(n=k, digon_prob=digon_prob, seed=seed + i, constraint="strong")
+        )
+        for i, k in enumerate((first, last))
+    ]
+    n = first + last
+    arcs = blocks[0].arcs() + [(first + t, first + h) for t, h in blocks[1].arcs()]
+    arcs += [(p, q) for p in range(first) for q in range(first, n)]
+    return Digraph.from_arcs(n, arcs)
+
+
+def test_semicomplete_components_match_tarjan_on_every_mask():
+    for n in range(1, 7):
+        for p in (0.0, 0.1, 0.3, 0.7):
+            for seed in range(3):
+                d = random_semicomplete(GeneratorConfig(n=n, digon_prob=p, seed=seed))
+                out = d.out_masks()
+                for vmask in range(1 << n):
+                    assert _semicomplete_components(out, vmask) == _masked_components(n, out, vmask)
+
+
+def test_semicomplete_components_match_tarjan_on_seeded_masks():
+    rng = random.Random(17)
+    instances = [Digraph.from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+                 for n in (10, 30, 60)]
+    instances += [two_blocks(n, rng) for n in (10, 30, 60)]
+    instances += [_stacked(first, last, p, seed)
+                  for seed, (first, last) in enumerate([(4, 6), (12, 18), (25, 35)])
+                  for p in (0.0, 0.1, 0.3)]
+    split = 0
+    for d in instances:
+        out = d.out_masks()
+        for density in (0.1, 0.3, 0.6, 1.0):
+            for _ in range(8):
+                vmask = sum(1 << v for v in range(d.n) if rng.random() < density)
+                comps = _semicomplete_components(out, vmask)
+                assert comps == _masked_components(d.n, out, vmask)
+                split += len(comps) > 1
+    assert split > 200
+
+
+def test_strong_decomposition_of_a_large_stacked_digraph():
+    d = _stacked(100, 140, 0.1, 5)
+    assert validate_semicomplete(d) is None
+    tarjan = _masked_components(d.n, d.out_masks(), (1 << d.n) - 1)
+    dec = strong_decomposition(d)
+    assert dec.components == tuple(tuple(_bits(c)) for c in tarjan)
+    assert dec.components == (tuple(range(100)), tuple(range(100, 240)))
 
 
 def _breaking_arcs_by_search(d, arcs):

@@ -43,7 +43,8 @@ from branchpairs import (
     verify_certificate,
     verify_good_pair,
 )
-from branchpairs.goodpair import _strong_profile
+from branchpairs.digraph import _masked_components
+from branchpairs.goodpair import _same_root_structure, _strong_profile
 from conftest import assert_good_pair, strong_instances, trans_back
 
 C3 = fixture("C3").digraph
@@ -482,6 +483,116 @@ def test_same_root_pair_matches_oracle_exhaustively():
                     assert oracle_good_pair(d, u, u) is None
 
 
+def _list_based_same_root_structure(d, u):
+    """The shared-root rule with Tarjan's components and the full lists of
+    arcs leaving the terminal component of D<A> and entering the initial
+    component of D<B>."""
+    n = d.n
+    a = [q for q in range(n) if d.has_arc(u, q) and not d.has_arc(q, u)]
+    b = [q for q in range(n) if d.has_arc(q, u) and not d.has_arc(u, q)]
+    if not a or not b:
+        return None
+    terminal = _masked_components(n, d.out_masks(), sum(1 << q for q in a))[-1]
+    leaving = [(p, q) for p in range(n) if terminal >> p & 1
+               for q in range(n) if not terminal >> q & 1 and d.has_arc(p, q)]
+    if len(leaving) != 1:
+        return None
+    initial = _masked_components(n, d.out_masks(), sum(1 << q for q in b))[0]
+    entering = [(p, q) for q in range(n) if initial >> q & 1
+                for p in range(n) if not initial >> p & 1 and d.has_arc(p, q)]
+    if entering != leaving:
+        return None
+    shared = [q for q in range(n) if q != u and d.has_arc(u, q) and d.has_arc(q, u)]
+    return SameRootStructure(tuple(a), tuple(b), tuple(shared), leaving[0])
+
+
+def _with_same_root_structure(rng, n):
+    """A strong digraph of order n >= 3 that holds a SameRootStructure at
+    some root: u dominates block A, block B dominates u, block C is joined
+    to u both ways; the one arc (t, h) from the terminal component of D<A>
+    into the initial component of D<B> is the only arc leaving the one or
+    entering the other.  Vertex ids are shuffled."""
+    a_size = rng.randrange(1, n - 1)
+    b_size = rng.randrange(1, n - a_size)
+    blocks = [range(1, 1 + a_size), range(1 + a_size, 1 + a_size + b_size),
+              range(1 + a_size + b_size, n)]
+    out = [0] * n
+    for block in blocks:
+        for p in block:
+            for q in block:
+                if p < q:
+                    roll = rng.random()
+                    out[p] |= (roll < 0.6) << q
+                    out[q] |= (roll > 0.4) << p
+    a_block, b_block, c_block = blocks
+    a_mask = sum(1 << p for p in a_block)
+    b_mask = sum(1 << q for q in b_block)
+    terminal = _masked_components(n, out, a_mask)[-1]
+    initial = _masked_components(n, out, b_mask)[0]
+    t = rng.choice([p for p in a_block if terminal >> p & 1])
+    h = rng.choice([q for q in b_block if initial >> q & 1])
+    out[0] |= a_mask | sum(1 << c for c in c_block)
+    for q in b_block:
+        out[q] |= 1
+        for p in a_block:
+            out[q] |= 1 << p
+    out[h] &= ~(1 << t)
+    out[t] |= 1 << h
+    for c in c_block:
+        out[c] |= 1 | terminal
+        for q in b_block:
+            out[q] |= 1 << c
+            if not initial >> q & 1 and rng.random() < 0.3:
+                out[c] |= 1 << q
+        for p in a_block:
+            if not terminal >> p & 1:
+                roll = rng.random()
+                out[c] |= (roll < 0.6) << p
+                out[p] |= (roll > 0.4) << c
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arcs = [(perm[p], perm[q]) for p in range(n) for q in range(n) if out[p] >> q & 1]
+    return Digraph.from_arcs(n, arcs)
+
+
+def test_same_root_pair_matches_the_list_based_rule():
+    # Where the rule finds no structure, same_root_pair goes on to build a
+    # pair (`_cycle_pair`), which the exhaustive oracle test covers; here the
+    # rule itself is compared at every root.
+    rng = random.Random(23)
+    instances = strong_instances()
+    instances += [
+        random_semicomplete(GeneratorConfig(n=n, digon_prob=p, seed=seed, constraint="strong"))
+        for n in range(5, 31, 5) for p in (0.0, 0.2) for seed in range(2)
+    ]
+    instances += [_with_same_root_structure(rng, n) for n in range(5, 31)]
+    structures = 0
+    for d in instances:
+        assert strong_decomposition(d).is_strong
+        for u in range(d.n):
+            expected = _list_based_same_root_structure(d, u)
+            assert _same_root_structure(d, u) == expected
+            if expected is not None:
+                assert same_root_pair(d, u) == expected
+                structures += 1
+    assert structures >= 26
+
+
+@pytest.mark.xfail(strict=True, raises=InternalInconsistency,
+                   reason="the construction search exhausts its budget")
+def test_same_root_pair_on_two_blocks_of_order_ten(monkeypatch):
+    monkeypatch.setattr(branchpairs.structures, "_SEARCH_BUDGET", 20000)
+    d = Digraph.from_arcs(10, [
+        (0, 2), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (1, 0), (1, 2), (1, 3), (1, 5),
+        (1, 6), (1, 7), (1, 8), (1, 9), (2, 3), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9),
+        (3, 0), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (4, 0), (4, 1), (4, 2),
+        (4, 5), (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7), (6, 9), (7, 6), (7, 9),
+        (8, 5), (8, 6), (8, 7), (8, 9), (9, 0), (9, 5),
+    ])
+    assert decide_good_pair(d, 2, 2) is None
+    assert_good_pair(d, 2, 2, same_root_pair(d, 2))
+
+
 # --------------------------------------------------------------------------
 # the extension move table, one frozen vector per move
 
@@ -707,6 +818,43 @@ def test_extension_rejects_missing_or_used_cross_arcs():
         extend_trees_across_cut(
             d, straddling, Tree("in", 3, {2: 3}), (0, 1), (2, 3), "no-arc"
         )
+
+
+def _two_sides(flipped=(), added=()):
+    """Sides X = {0, 1, 2} and Y = {3, 4, 5}, each transitive, every cross
+    pair pointing from X into Y; then each arc of `flipped` is reversed and
+    each arc of `added` joins."""
+    arcs = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
+    arcs |= {(p, q) for p in range(3) for q in range(3, 6)}
+    arcs -= set(flipped)
+    arcs |= {(q, p) for p, q in flipped} | set(added)
+    return Digraph.from_arcs(6, sorted(arcs))
+
+
+_OUT_X = Tree("out", 0, {1: 0, 2: 0})
+_IN_Y = Tree("in", 5, {3: 5, 4: 5})
+
+
+@pytest.mark.parametrize("digraph, out_tree, in_tree, mode, arc, message", [
+    # (1, 4) and the later (2, 3) are reversed
+    (_two_sides(flipped=[(1, 4), (2, 3)]), _OUT_X, _IN_Y, "no-arc", None,
+     "missing forward arc (1,4)"),
+    # the out-tree reaches 4 along the cross arc (1, 4)
+    (_two_sides(), Tree("out", 0, {1: 0, 2: 0, 4: 1}), _IN_Y, "no-arc", None,
+     "cross arc (1,4) is already used"),
+    # the in-tree drains 4 along the backward arc (4, 1), then 1 along (1, 5)
+    (_two_sides(added=[(4, 1)]), _OUT_X, Tree("in", 5, {3: 5, 4: 1, 1: 5}), "no-arc", None,
+     "cross arc (4,1) is already used"),
+    # the designated arc (5, 0) may run backward, (4, 1) may not
+    (_two_sides(added=[(5, 0), (4, 1)]), _OUT_X, _IN_Y, "back-arc", (5, 0),
+     "unexpected backward arc (4,1)"),
+])
+def test_extension_names_the_first_offending_cross_pair(
+    digraph, out_tree, in_tree, mode, arc, message
+):
+    with pytest.raises(PreconditionViolated) as raised:
+        extend_trees_across_cut(digraph, out_tree, in_tree, (0, 1, 2), (3, 4, 5), mode, arc)
+    assert str(raised.value) == message
 
 
 def test_extension_rejects_wrong_tree_kinds_and_coverage():
